@@ -44,7 +44,13 @@ int main() {
   }
   std::vector<sim::RunRequest> mix_requests;
   for (const auto& cfg : configs) {
-    mix_requests.push_back({cfg, mix_names, b.warmup, b.measure, /*seed=*/42});
+    sim::RunRequest req;
+    req.config = cfg;
+    req.workloads = mix_names;
+    req.warmup_instr = b.warmup;
+    req.measure_instr = b.measure;
+    req.seed = 42;
+    mix_requests.push_back(req);
   }
   const auto mix_runs = sim::run_many(mix_requests);
   std::vector<std::string> row = {"xdev-mix"};

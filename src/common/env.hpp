@@ -36,8 +36,8 @@ inline std::uint64_t bench_instr_budget() { return env_u64("COAXIAL_INSTR", 400'
 /// Warmup instructions per core for benchmark runs (paper: 50M).
 inline std::uint64_t bench_warmup_budget() { return env_u64("COAXIAL_WARMUP", 120'000); }
 
-/// Host worker-thread override for parallel run matrices (benches and
-/// bench_walltime). 0 (the default) means hardware_concurrency.
+/// Host worker-thread override for the benches' parallel run matrices.
+/// 0 (the default) means hardware_concurrency.
 inline std::size_t coaxial_threads() {
   return static_cast<std::size_t>(env_u64("COAXIAL_THREADS", 0));
 }

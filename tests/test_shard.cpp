@@ -1,14 +1,19 @@
 // Sharded quantum engine (DESIGN.md §14): conservative-lookahead derivation
-// and validation, worker-count independence of the stats document, the
-// switched-fabric guard rails, and the outer-pool x inner-shard cap.
+// and validation, worker-count independence of the stats document, shard
+// placement, the worker team's barrier (near-empty rounds, the park path,
+// exceptions, oversubscription), the switched-fabric guard rails, and the
+// outer-pool x inner-shard cap.
 //
 // The load-bearing property is byte-identity: the parallel pump must be a
 // pure scheduling change. Every test here compares full canonical JSON
 // documents, not individual counters, so any divergence — a reordered
 // mailbox drain, a worker-count-dependent barrier decision — fails loudly.
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +23,7 @@
 #include "obs/stats_json.hpp"
 #include "sim/pooled_system.hpp"
 #include "sim/runner.hpp"
+#include "sim/shard.hpp"
 
 namespace coaxial {
 namespace {
@@ -99,12 +105,21 @@ TEST(ShardLookahead, DeclaredLatencyAboveDerivedIsRejected) {
 // -------------------------------------------------- worker-count invariance
 
 TEST(ShardDeterminism, WorkerCountNeverChangesThePooledDocument) {
-  const std::string base = stats_json(sim::run_one(pooled_request(
-      small_pool(4), /*shards=*/1)));
-  ASSERT_FALSE(base.empty());
-  for (const std::uint32_t n : {2u, 4u, 8u}) {
-    EXPECT_EQ(base, stats_json(sim::run_one(pooled_request(small_pool(4), n))))
-        << "document diverged at " << n << " shard workers";
+  // 3, 5 and 6 workers divide neither 5 nor 9 shards, so striping and the
+  // cost-measured placement give different owners; the budget is long
+  // enough for the team to re-plan twice. Neither may change a byte.
+  for (const std::uint32_t hosts : {4u, 8u}) {
+    sim::RunRequest req = pooled_request(small_pool(hosts), /*shards=*/1);
+    req.warmup_instr = 1'000;
+    req.measure_instr = 10'000;
+    const std::string base = stats_json(sim::run_one(req));
+    ASSERT_FALSE(base.empty());
+    for (const std::uint32_t n : {2u, 3u, 4u, 5u, 6u, 8u}) {
+      req.shards = n;
+      EXPECT_EQ(base, stats_json(sim::run_one(req)))
+          << "document diverged at " << n << " shard workers over " << hosts
+          << " hosts";
+    }
   }
 }
 
@@ -112,19 +127,23 @@ TEST(ShardDeterminism, WorkerCountInvariantUnderDeviceFailure) {
   // The RAS path exercises the straggler protocol: demands in flight toward
   // a device that dies mid-quantum must bounce at the barrier with the same
   // timing every worker count observes.
-  sim::PooledSystem seq(faulty_pool(2), /*seed=*/7);
-  seq.run(/*warmup_instr=*/300, /*measure_instr=*/1'500);
-  const std::string base = obs::json::snapshot_to_json(seq.metrics().snapshot());
-  const ras::AvailCounters av = seq.memory().avail_counters();
-  // The scenario must actually fire, or this test proves nothing.
-  ASSERT_GT(av.devices_offlined, 0u);
-  EXPECT_GT(av.bounced_reads + av.refused_txns, 0u);
-  for (const std::uint32_t n : {2u, 4u, 8u}) {
-    sim::PooledSystem par(faulty_pool(2), /*seed=*/7);
-    par.set_workers(n);
-    par.run(300, 1'500);
-    EXPECT_EQ(base, obs::json::snapshot_to_json(par.metrics().snapshot()))
-        << "document diverged at " << n << " shard workers";
+  for (const std::uint32_t hosts : {2u, 4u}) {
+    sim::PooledSystem seq(faulty_pool(hosts), /*seed=*/7);
+    seq.run(/*warmup_instr=*/300, /*measure_instr=*/3'000);
+    const std::string base =
+        obs::json::snapshot_to_json(seq.metrics().snapshot());
+    const ras::AvailCounters av = seq.memory().avail_counters();
+    // The scenario must actually fire, or this test proves nothing.
+    ASSERT_GT(av.devices_offlined, 0u);
+    EXPECT_GT(av.bounced_reads + av.refused_txns, 0u);
+    for (const std::uint32_t n : {2u, 3u, 4u, 5u, 8u}) {
+      sim::PooledSystem par(faulty_pool(hosts), /*seed=*/7);
+      par.set_workers(n);
+      par.run(300, 3'000);
+      EXPECT_EQ(base, obs::json::snapshot_to_json(par.metrics().snapshot()))
+          << "document diverged at " << n << " shard workers over " << hosts
+          << " hosts";
+    }
   }
 }
 
@@ -135,6 +154,141 @@ TEST(ShardDeterminism, EffectiveWorkersAreClampedToShardCount) {
   s.set_workers(8);
   s.run(300, 1'500);
   EXPECT_EQ(s.effective_workers(), 3u);
+}
+
+// ------------------------------------------------------------ placement
+
+TEST(ShardPlacement, EveryShardHasExactlyOneOwner) {
+  const std::vector<double> cost = {54, 22, 22, 22, 22, 3, 0, 17, 22};
+  for (std::size_t workers = 1; workers <= 10; ++workers) {
+    const std::vector<std::size_t> owner =
+        sim::shard::plan_placement(cost, /*coordinator_cost=*/5, workers);
+    ASSERT_EQ(owner.size(), cost.size());
+    for (const std::size_t w : owner) EXPECT_LT(w, workers);
+  }
+}
+
+TEST(ShardPlacement, OneWorkerOwnsEveryShard) {
+  const std::vector<std::size_t> owner =
+      sim::shard::plan_placement({9, 1, 4, 4}, /*coordinator_cost=*/100, 1);
+  EXPECT_EQ(owner, (std::vector<std::size_t>{0, 0, 0, 0}));
+}
+
+TEST(ShardPlacement, LongestShardGetsALeastLoadedWorker) {
+  // The measured pooled profile: the pool shard costs about 2.5 hosts.
+  // Striping would stack it with host 3 on the coordinator; LPT gives it a
+  // worker of its own and charges the coordinator's serial drain.
+  const std::vector<std::size_t> owner =
+      sim::shard::plan_placement({54, 22, 22, 22, 22}, /*coordinator_cost=*/5, 4);
+  EXPECT_EQ(owner, (std::vector<std::size_t>{1, 2, 3, 0, 2}));
+}
+
+TEST(ShardPlacement, TiesResolveDeterministically) {
+  // Equal costs: lower shard index first, onto the lower worker index —
+  // which is striping when the coordinator carries no serial work.
+  EXPECT_EQ(sim::shard::plan_placement({1, 1, 1, 1, 1}, 0, 4),
+            (std::vector<std::size_t>{0, 1, 2, 3, 0}));
+  // Serial work moves the coordinator behind every idle worker.
+  EXPECT_EQ(sim::shard::plan_placement({1, 1, 1, 1, 1}, 0.5, 4),
+            (std::vector<std::size_t>{1, 2, 3, 0, 1}));
+  EXPECT_EQ(sim::shard::plan_placement({2, 1, 2, 1}, 0, 2),
+            sim::shard::plan_placement({2, 1, 2, 1}, 0, 2));
+}
+
+TEST(ShardPlacement, TeamMovesAnExpensiveShardOntoAWorkerOfItsOwn) {
+  // Shard 0 costs 100 µs a round, the rest nothing; once the team has
+  // measured that, shard 0's owner runs no other shard. (The margin keeps
+  // a descheduled tiny shard from outweighing it in the sampled costs.)
+  sim::shard::WorkerTeam team(/*workers=*/3, /*shards=*/6);
+  const auto busy = [](std::size_t s) {
+    if (s != 0) return;
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(100);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  for (int r = 0; r < 600; ++r) team.round(busy);
+  const std::vector<std::size_t>& owner = team.owners();
+  for (std::size_t s = 1; s < owner.size(); ++s) {
+    EXPECT_NE(owner[s], owner[0]) << "shard " << s << " shares the busy worker";
+  }
+  team.shutdown();
+}
+
+// ------------------------------------------------------------- barrier
+
+TEST(ShardBarrier, ThousandsOfNearEmptyRoundsRunEveryShardOnce) {
+  for (const std::size_t workers : {2u, 4u}) {
+    sim::shard::WorkerTeam team(workers, /*shards=*/8);
+    std::vector<std::uint64_t> runs(8, 0);
+    const auto bump = [&](std::size_t s) { ++runs[s]; };
+    constexpr std::uint64_t kRounds = 5'000;
+    for (std::uint64_t r = 0; r < kRounds; ++r) team.round(bump);
+    team.shutdown();
+    for (std::size_t s = 0; s < runs.size(); ++s) {
+      EXPECT_EQ(runs[s], kRounds) << "shard " << s << " at " << workers << " workers";
+    }
+  }
+}
+
+TEST(ShardBarrier, WaitersParkAfterTheSpinBudget) {
+  // Gaps longer than the spin budget, on both sides of the barrier, drive
+  // workers (idle coordinator between rounds) and the coordinator (a slow
+  // worker-owned shard) into the park path.
+  sim::shard::WorkerTeam team(/*workers=*/2, /*shards=*/2);
+  const std::thread::id coordinator = std::this_thread::get_id();
+  std::vector<std::uint64_t> runs(2, 0);
+  const auto slow_worker = [&](std::size_t s) {
+    if (std::this_thread::get_id() != coordinator) {
+      std::this_thread::sleep_for(3 * sim::shard::WorkerTeam::kSpinBudget);
+    }
+    ++runs[s];
+  };
+  for (int r = 0; r < 20; ++r) {
+    team.round(slow_worker);
+    std::this_thread::sleep_for(3 * sim::shard::WorkerTeam::kSpinBudget);
+  }
+  team.shutdown();
+  EXPECT_EQ(runs, (std::vector<std::uint64_t>{20, 20}));
+}
+
+TEST(ShardBarrier, WorkerExceptionInALateRoundReachesTheCaller) {
+  sim::shard::WorkerTeam team(/*workers=*/4, /*shards=*/8);
+  const std::thread::id coordinator = std::this_thread::get_id();
+  int round = 0;
+  const auto fn = [&](std::size_t) {
+    if (round == 900 && std::this_thread::get_id() != coordinator) {
+      throw std::runtime_error("shard failed");
+    }
+  };
+  bool thrown = false;
+  try {
+    for (; round < 1'000; ++round) team.round(fn);
+  } catch (const std::runtime_error& e) {
+    thrown = true;
+    EXPECT_STREQ(e.what(), "shard failed");
+  }
+  EXPECT_TRUE(thrown);
+  EXPECT_EQ(round, 900);
+  // The team must still be whole: another round runs, then it joins.
+  round = 0;
+  EXPECT_NO_THROW(team.round(fn));
+  team.shutdown();
+}
+
+TEST(ShardBarrier, OversubscribedTeamParksAndFinishes) {
+  // More workers than hardware threads: spinning would steal the CPU a
+  // peer needs, so every wait parks at once.
+  const std::size_t workers =
+      std::max<std::size_t>(std::thread::hardware_concurrency(), 1) * 2 + 1;
+  const auto start = std::chrono::steady_clock::now();
+  sim::shard::WorkerTeam team(workers, workers);
+  EXPECT_FALSE(team.spinning());
+  std::vector<std::uint64_t> runs(workers, 0);
+  for (int r = 0; r < 2'000; ++r) team.round([&](std::size_t s) { ++runs[s]; });
+  team.shutdown();
+  for (const std::uint64_t n : runs) EXPECT_EQ(n, 2'000u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
 }
 
 // ------------------------------------------------------ switched guard rails
