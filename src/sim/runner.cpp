@@ -172,11 +172,25 @@ RunResult run_one(const RunRequest& request) {
 std::vector<RunRequest> golden_requests() {
   // Small budgets keep the golden test fast while still exercising both
   // topologies (direct DDR and CXL-attached) plus the asymmetric-lane
-  // variant. Changing this set invalidates tests/golden/baseline.json.
+  // variant, and the pooled driver on its three pumps: the quantum engine
+  // (direct fabric), the per-cycle switched pump, and the engine through a
+  // surprise removal. Changing this set invalidates
+  // tests/golden/baseline.json.
+  const auto pooled = [](const pool::PoolConfig& cfg) {
+    RunRequest r;
+    r.pool = cfg;
+    r.warmup_instr = 300;
+    r.measure_instr = 1500;
+    r.seed = 7;
+    return r;
+  };
   return {
       homogeneous(sys::baseline_ddr(), "canneal", 500, 2000, /*seed=*/7),
       homogeneous(sys::coaxial_4x(), "lbm", 500, 2000, /*seed=*/7),
       homogeneous(sys::coaxial_asym(), "stream-copy", 500, 2000, /*seed=*/7),
+      pooled(sys::coaxial_pooled(4)),
+      pooled(sys::coaxial_pooled_switched(4)),
+      pooled(sys::coaxial_pooled_faulty(4, /*at_cycle=*/4'000)),
   };
 }
 

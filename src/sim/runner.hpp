@@ -88,7 +88,8 @@ RunRequest homogeneous(const sys::SystemConfig& cfg, const std::string& workload
                        std::uint64_t warmup, std::uint64_t measure,
                        std::uint64_t seed = 42);
 
-/// The (config, workload) triplet pinned by tests/golden/baseline.json.
+/// The runs pinned by tests/golden/baseline.json: three single-host
+/// (config, workload) pairs and three 4-host pools.
 /// Shared by the golden-regression test and tools/golden_run so both always
 /// describe the same runs.
 std::vector<RunRequest> golden_requests();

@@ -127,6 +127,17 @@ TEST(GoldenStats, BaselineParsesAndHasExpectedShape) {
   // CXL-attached runs expose link metrics; the direct-DDR baseline does not.
   EXPECT_TRUE(flat.count("runs/001/metrics/mem/cxl/link00/tx/messages"));
   EXPECT_FALSE(flat.count("runs/000/metrics/mem/cxl/link00/tx/messages"));
+  // The pooled rows (direct, switched, surprise removal) pin real coherence
+  // traffic, and the faulty pool the device-failure subtree.
+  for (const char* run : {"runs/003", "runs/004", "runs/005"}) {
+    const std::string key = std::string(run) + "/metrics/pool/coh/invals_sent";
+    ASSERT_TRUE(flat.count(key)) << key;
+    EXPECT_GT(flat.at(key).num, 0.0);
+    EXPECT_EQ(flat.at(key).num,
+              flat.at(std::string(run) + "/metrics/pool/coh/invals_acked").num);
+  }
+  EXPECT_TRUE(flat.count("runs/004/metrics/pool/mem/host/00/fabric/sw00/down/in00/enqueued"));
+  EXPECT_GT(flat.at("runs/005/metrics/ras/avail/devices_offlined").num, 0.0);
 }
 
 }  // namespace
