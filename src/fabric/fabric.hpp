@@ -93,6 +93,12 @@ class Fabric {
   /// tx_deliveries()/rx_deliveries(); returns a conservative wake bound.
   /// Direct fabrics have no buffered state and return kNoCycle.
   Cycle tick(Cycle now);
+  /// Earliest arrival over every switch plane's ingress heads (kNoCycle
+  /// when nothing is buffered, and always for direct fabrics). Every
+  /// message inside a switched fabric waits in some plane's ingress queue,
+  /// so max(this, now + 1) is a sound wake bound for a message sent after
+  /// this cycle's tick().
+  Cycle earliest_head() const;
   std::vector<Delivery>& tx_deliveries() { return tx_out_; }
   std::vector<Delivery>& rx_deliveries() { return rx_out_; }
 

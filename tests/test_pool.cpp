@@ -160,6 +160,22 @@ pool::PoolConfig small_pool(std::uint32_t hosts) {
   return c;
 }
 
+pool::PoolConfig hot_page_pool(std::uint32_t hosts) {
+  pool::PoolConfig c = small_pool(hosts);
+  c.name = "hot-page";
+  c.share_fraction = 0.9;
+  c.shared_hot_pages = 1;
+  c.shared_hot_prob = 1.0;
+  return c;
+}
+
+pool::PoolConfig tiny_directory_pool(std::uint32_t hosts) {
+  pool::PoolConfig c = small_pool(hosts);
+  c.name = "tiny-directory";
+  c.directory_entries = 2;
+  return c;
+}
+
 std::string pooled_document(const pool::PoolConfig& cfg, bool forced,
                             sim::PooledStats* out = nullptr) {
   sim::PooledSystem s(cfg, /*seed=*/7);
@@ -195,25 +211,59 @@ TEST(PooledSystem, PingPongGeneratesAndConservesInvalidations) {
   EXPECT_GT(st.window_cycles, 0u);
 }
 
+/// Event-driven and lockstep runs of every config in `cfgs` must emit the
+/// same document, under real coherence load, and conserve invalidations.
+void expect_modes_identical(const std::vector<pool::PoolConfig>& cfgs) {
+  for (const pool::PoolConfig& cfg : cfgs) {
+    SCOPED_TRACE(cfg.name);
+    sim::PooledStats ev, fo;
+    const std::string a = pooled_document(cfg, /*forced=*/false, &ev);
+    const std::string b = pooled_document(cfg, /*forced=*/true, &fo);
+    EXPECT_GT(ev.pool.invals_sent, 0u);  // The equivalence is under real load.
+    EXPECT_EQ(ev.pool.invals_sent, ev.pool.invals_acked);
+    EXPECT_EQ(ev.window_cycles, fo.window_cycles);
+    EXPECT_EQ(ev.total_cycles, fo.total_cycles);
+    EXPECT_EQ(a, b);
+  }
+}
+
+/// The identity inputs on `kind`: the shrunk ping-pong pool; one hot page
+/// every host hammers, so demands park behind its lock; a two-entry
+/// directory, so inserts find every entry locked and no victim; and the
+/// unshrunk 4-host presets, whose drain tails once outran a wake bound
+/// (a switched send after the plane ticked, an undrained completion on a
+/// sleeping host shard).
+std::vector<pool::PoolConfig> identity_inputs(fabric::TopologyKind kind) {
+  std::vector<pool::PoolConfig> cfgs = {small_pool(2), hot_page_pool(3),
+                                        tiny_directory_pool(3)};
+  for (pool::PoolConfig& c : cfgs) c.fabric_kind = kind;
+  if (kind == fabric::TopologyKind::kDirect) {
+    cfgs.push_back(sys::coaxial_pooled(4));
+    cfgs.push_back(sys::coaxial_pooled_faulty(4, /*at_cycle=*/4'000));
+  } else {
+    cfgs.push_back(sys::coaxial_pooled_switched(4));
+  }
+  return cfgs;
+}
+
 TEST(PooledSystem, SchedulerModesAreByteIdenticalDirect) {
-  sim::PooledStats ev, fo;
-  const std::string a = pooled_document(small_pool(2), /*forced=*/false, &ev);
-  const std::string b = pooled_document(small_pool(2), /*forced=*/true, &fo);
-  EXPECT_GT(ev.pool.invals_sent, 0u);  // The equivalence is under real load.
-  EXPECT_EQ(ev.window_cycles, fo.window_cycles);
-  EXPECT_EQ(ev.total_cycles, fo.total_cycles);
-  EXPECT_EQ(a, b);
+  expect_modes_identical(identity_inputs(fabric::TopologyKind::kDirect));
 }
 
 TEST(PooledSystem, SchedulerModesAreByteIdenticalSwitched) {
-  pool::PoolConfig cfg = small_pool(2);
-  cfg.fabric_kind = fabric::TopologyKind::kStar;
-  sim::PooledStats ev, fo;
-  const std::string a = pooled_document(cfg, /*forced=*/false, &ev);
-  const std::string b = pooled_document(cfg, /*forced=*/true, &fo);
-  EXPECT_GT(ev.pool.invals_sent, 0u);
-  EXPECT_EQ(ev.total_cycles, fo.total_cycles);
-  EXPECT_EQ(a, b);
+  expect_modes_identical(identity_inputs(fabric::TopologyKind::kStar));
+}
+
+TEST(PooledMemory, PendingWorkNamesTheStructuresHoldingWork) {
+  // The lost-wake diagnostic: an idle pool reports nothing, a pool holding
+  // an admitted read names its in-flight slot and the ingress queue.
+  pool::PooledMemory m(small_pool(2));
+  EXPECT_TRUE(m.quiescent());
+  EXPECT_EQ(m.pending_work(), "");
+  ASSERT_TRUE(m.can_accept(1, pool::kPoolSharedBaseLine, false, 0));
+  m.access(1, pool::kPoolSharedBaseLine, false, 0, /*token=*/0);
+  EXPECT_FALSE(m.quiescent());
+  EXPECT_EQ(m.pending_work(), "inflight_reads=1, shared_ingress=1");
 }
 
 TEST(PooledSystem, RepeatedRunsAreByteIdentical) {
