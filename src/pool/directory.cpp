@@ -142,6 +142,7 @@ std::vector<Directory::Entry> Directory::fail_reset() {
   free_.clear();
   for (std::uint32_t i = capacity_; i > 0; --i) free_.push_back(i - 1);
   occupancy_ = 0;
+  ++unlock_epoch_;
   return snap;
 }
 
@@ -149,6 +150,7 @@ void Directory::unlock(Addr page) {
   const auto it = index_.find(page);
   assert(it != index_.end() && entries_[it->second].locked);
   if (it != index_.end()) entries_[it->second].locked = false;
+  ++unlock_epoch_;
 }
 
 }  // namespace coaxial::pool

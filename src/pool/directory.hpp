@@ -61,6 +61,12 @@ class Directory {
 
   void unlock(Addr page);
 
+  /// Bumped by unlock() and fail_reset(). A blocked access() mutates
+  /// nothing, and only those two calls can clear what blocked it (a
+  /// locked entry, or a full set with every entry locked), so an access
+  /// blocked at epoch E stays blocked while the epoch is still E.
+  std::uint64_t unlock_epoch() const { return unlock_epoch_; }
+
   /// Surprise-removal teardown (DESIGN.md §13): returns every valid entry
   /// in slot order (deterministic), then resets the directory to empty —
   /// absence still means "cached nowhere", which becomes true again once
@@ -82,6 +88,7 @@ class Directory {
   std::uint64_t use_seq_ = 0;
   std::uint64_t inserts_ = 0;
   std::uint64_t evictions_ = 0;
+  std::uint64_t unlock_epoch_ = 0;
   std::vector<Entry> entries_;
   std::vector<std::uint32_t> free_;
   std::unordered_map<Addr, std::uint32_t> index_;

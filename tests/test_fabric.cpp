@@ -215,6 +215,56 @@ TEST(Switch, FutureHeadSetsWakeToItsArrival) {
   EXPECT_EQ(wake, 500u);
 }
 
+TEST(Switch, IdleTicksBetweenTrafficChangeNothing) {
+  // Three ingress ports contend for two egresses in bursts, under a tight
+  // egress backlog. Ticking every cycle (idle ticks in every gap) must
+  // forward the same messages, in the same round-robin order, at the same
+  // cycles, with the same egress stats as ticking only at the wake bounds.
+  struct Forward {
+    std::uint32_t out;
+    std::uint64_t payload;
+    Cycle arrival;
+    bool operator==(const Forward&) const = default;
+  };
+  const auto drive = [](bool every_cycle, std::vector<Forward>& got) {
+    Switch sw(3, 2, /*goodput=*/26.0, /*fixed=*/10, /*backlog=*/12, /*depth=*/64);
+    Cycle wake = kNoCycle;
+    for (Cycle now = 0; now < 3000; ++now) {
+      if (now == 100 || now == 700 || now == 701 || now == 1500) {
+        for (std::uint32_t p = 0; p < 3; ++p) {
+          for (std::uint32_t k = 0; k < 4; ++k) {
+            const Cycle ready = now + 5 + 3 * k + p;
+            sw.enqueue(p, {ready, (p + k) % 2, 64, now * 100 + p * 10 + k});
+            wake = std::min(wake, ready);
+          }
+        }
+      }
+      if (!every_cycle && now < wake) continue;
+      wake = sw.tick(
+          now, [](const FabricMsg& m) { return m.dest; },
+          [](std::uint32_t) { return true; },
+          [&got](std::uint32_t out, const FabricMsg& m, Cycle at) {
+            got.push_back({out, m.payload, at});
+          });
+    }
+    std::vector<link::DirectionStats> egress;
+    for (std::uint32_t o = 0; o < sw.out_ports(); ++o) egress.push_back(sw.egress(o).stats());
+    return egress;
+  };
+  std::vector<Forward> sparse, dense;
+  const auto sparse_stats = drive(/*every_cycle=*/false, sparse);
+  const auto dense_stats = drive(/*every_cycle=*/true, dense);
+  EXPECT_EQ(sparse.size(), 48u);
+  EXPECT_EQ(sparse, dense);
+  ASSERT_EQ(sparse_stats.size(), dense_stats.size());
+  for (std::size_t o = 0; o < sparse_stats.size(); ++o) {
+    EXPECT_EQ(sparse_stats[o].messages, dense_stats[o].messages);
+    EXPECT_EQ(sparse_stats[o].bytes, dense_stats[o].bytes);
+    EXPECT_EQ(sparse_stats[o].busy_cycles, dense_stats[o].busy_cycles);
+    EXPECT_EQ(sparse_stats[o].queue_delay_sum, dense_stats[o].queue_delay_sum);
+  }
+}
+
 // ------------------------------------------------- latency additivity
 
 /// Tick the fabric every cycle until `out` has a delivery; returns it.

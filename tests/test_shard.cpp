@@ -107,18 +107,32 @@ TEST(ShardLookahead, DeclaredLatencyAboveDerivedIsRejected) {
 TEST(ShardDeterminism, WorkerCountNeverChangesThePooledDocument) {
   // 3, 5 and 6 workers divide neither 5 nor 9 shards, so striping and the
   // cost-measured placement give different owners; the budget is long
-  // enough for the team to re-plan twice. Neither may change a byte.
-  for (const std::uint32_t hosts : {4u, 8u}) {
-    sim::RunRequest req = pooled_request(small_pool(hosts), /*shards=*/1);
+  // enough for the team to re-plan twice. Neither may change a byte. The
+  // parked paths ride along: one hot page every host hammers (heads park
+  // behind its lock), and a two-entry directory (inserts find every entry
+  // locked and no victim).
+  pool::PoolConfig hot_page = small_pool(4);
+  hot_page.share_fraction = 0.9;
+  hot_page.shared_hot_pages = 1;
+  hot_page.shared_hot_prob = 1.0;
+  pool::PoolConfig tiny_directory = small_pool(4);
+  tiny_directory.directory_entries = 2;
+  for (const pool::PoolConfig& cfg :
+       {small_pool(4), small_pool(8), hot_page, tiny_directory}) {
+    sim::RunRequest req = pooled_request(cfg, /*shards=*/1);
     req.warmup_instr = 1'000;
     req.measure_instr = 10'000;
-    const std::string base = stats_json(sim::run_one(req));
+    const sim::RunResult seq = sim::run_one(req);
+    EXPECT_GT(seq.pooled.pool.invals_sent, 0u);
+    EXPECT_EQ(seq.pooled.pool.invals_sent, seq.pooled.pool.invals_acked);
+    const std::string base = stats_json(seq);
     ASSERT_FALSE(base.empty());
     for (const std::uint32_t n : {2u, 3u, 4u, 5u, 6u, 8u}) {
       req.shards = n;
       EXPECT_EQ(base, stats_json(sim::run_one(req)))
-          << "document diverged at " << n << " shard workers over " << hosts
-          << " hosts";
+          << "document diverged at " << n << " shard workers over "
+          << cfg.n_hosts << " hosts (share " << cfg.share_fraction
+          << ", directory " << cfg.directory_entries << ")";
     }
   }
 }
