@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# CI entry point: configure, build, run the full test suite, verify the
-# golden stats document against the checked-in baseline with statdiff, run
-# the two-run determinism smokes (RAS, open-loop service, tiering, pooling
-# and availability benches: their ras/*, svc/*, tier/*, pool/* and
-# ras/avail/* stats must agree exactly across two runs), smoke the
-# sanitizer build (-DCOAXIAL_SANITIZE=ON) on the invariant + golden +
-# fabric + ras + perf + svc + tier + pool + avail ctest labels,
-# and run the sched label (sharded quantum engine, DESIGN.md §14) under TSan
-# (-DCOAXIAL_SANITIZE=thread) to prove the quantum barriers race-free.
+# CI entry point: lint the library for environment reads, configure, build,
+# run the full test suite, verify the golden stats document (event-driven;
+# the ctest pass also pins it in lockstep) against the checked-in baseline
+# with statdiff, run the two-run determinism smokes (RAS, open-loop
+# service, tiering, pooling and availability benches: their ras/*, svc/*,
+# tier/*, pool/* and ras/avail/* stats must agree exactly across two
+# runs), smoke the sanitizer build (-DCOAXIAL_SANITIZE=ON) on the
+# invariant + golden + fabric + ras + perf + svc + tier + pool + avail
+# ctest labels, and run the sched label (sharded quantum engine, DESIGN.md
+# §14) under TSan (-DCOAXIAL_SANITIZE=thread) to prove the quantum
+# barriers race-free.
 # Host performance is measured by bench_perf (BENCHMARK.json,
 # bench/perf/README.md), whose smoke test runs in the ctest pass under the
 # bench label; compare builds with bench/perf/ab.py, not in CI.
@@ -18,6 +20,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-ci}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+echo "=== lint: no environment reads in the library ==="
+# A run's stats are a function of its RunRequest alone: the library takes
+# no configuration from the environment. env.hpp defines the helpers the
+# benches and examples use; COAXIAL_PROF (profiler.cpp) is host-side
+# instrumentation that never touches simulation state.
+if grep -rnwE 'getenv|env_flag|env_u64|env_double' src/ \
+    | grep -vE '^src/(common/env\.hpp|obs/profiler\.cpp):'; then
+  echo "environment read in src/ (move the knob into RunRequest)" >&2
+  exit 1
+fi
 
 echo "=== configure + build (${BUILD_DIR}) ==="
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release -DCOAXIAL_WERROR=ON

@@ -593,6 +593,12 @@ Cycle CxlMemory::tick(Cycle now) {
     }
   }
   if (plan_.watchdog()) wake = std::min(wake, pump_watchdog(now));
+  // Responses and watchdog reissues sent above entered a switch plane after
+  // it ticked, so its returned bound does not cover them: bound the planes
+  // again once every phase has run (DESIGN.md §6 idle-tick contract).
+  if (!fabric_->direct()) {
+    wake = std::min(wake, std::max(fabric_->earliest_head(), now + 1));
+  }
   return wake;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/env.hpp"
 #include "obs/profiler.hpp"
 
 namespace coaxial::dram {
@@ -34,10 +33,6 @@ Controller::Controller(const Timing& timing, const Geometry& geometry,
   read_q_.reserve(read_depth_);
   write_q_.reserve(write_depth_);
   completions_.reserve(16);
-  // Escape hatch / A-B switch: COAXIAL_NO_READY_CACHE=1 forces the brute
-  // rescan every tick. Results must be identical either way (the cache only
-  // skips provably fruitless scans); see test_perf_invariants.
-  ready_cache_enabled_ = !env_flag("COAXIAL_NO_READY_CACHE");
   if (scope.valid()) {
     scope.expose_counter("reads_done", [this] { return stats_.reads_done; });
     scope.expose_counter("writes_done", [this] { return stats_.writes_done; });

@@ -12,7 +12,7 @@
 // Wake-bound contract (same as CxlLink/dram::Controller): tick() returns a
 // conservative lower bound on the next cycle any queued message could move,
 // so the event-driven scheduler can skip the cycles in between and stay
-// byte-identical with COAXIAL_TICK_EVERY_CYCLE=1.
+// byte-identical with lockstep ticking (RunRequest::tick_every_cycle).
 #pragma once
 
 #include <cstdint>

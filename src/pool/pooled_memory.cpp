@@ -12,7 +12,7 @@ namespace coaxial::pool {
 namespace {
 
 /// Per (sub-channel, host) ingress bound, mirroring CxlMemory's device
-/// ingress depth. In engine mode the same bound is enforced with credits.
+/// ingress depth. Direct fabrics enforce the same bound with credits.
 constexpr std::uint32_t kIngressDepth = 64;
 
 /// parked_at_ value of a head the directory has not blocked.
@@ -119,7 +119,8 @@ PooledMemory::PooledMemory(const PoolConfig& cfg, obs::Scope scope)
     bounce_cycles_ = fab_[0]->unloaded_tx_cycles(link::kReadRequestBytes) +
                      fab_[0]->unloaded_rx_cycles(link::kReadResponseBytes);
   }
-  // Engine timing constants (cheap; computed even when the engine is off).
+  direct_ = fab_[0]->direct();
+  // Engine timing constants (cheap; computed on every fabric).
   credit_lat_ = fab_[0]->unloaded_rx_cycles(link::kReadRequestBytes);
   bounce_rx_lat_ = fab_[0]->unloaded_rx_cycles(link::kReadResponseBytes);
 
@@ -166,14 +167,6 @@ Cycle PooledMemory::min_cross_shard_latency() const {
     q = std::min(q, f->unloaded_rx_cycles(link::kReadRequestBytes));
   }
   return std::max<Cycle>(q, 1);
-}
-
-void PooledMemory::set_engine(bool on) {
-  if (on && !engine_capable()) {
-    throw std::logic_error(
-        "pool::PooledMemory: sharded engine requires a direct fabric");
-  }
-  engine_ = on;
 }
 
 std::uint32_t PooledMemory::alloc_slot(std::uint32_t host, std::uint64_t token,
@@ -242,7 +235,7 @@ bool PooledMemory::can_accept(std::uint32_t host, Addr line, bool is_write,
     // but free of any cross-shard read.
     if (host_sees_dead(now) && r.device == fail_dev_) return true;
     if (!fab_[host]->can_send_tx(r.device, now)) return false;
-    if (engine_) return credits_[host][r.sub] > 0;
+    if (direct_) return credits_[host][r.sub] > 0;
     return shared_ingress_[r.sub][host].size() +
                tx_inflight_shared_[r.sub][host] <
            kIngressDepth;
@@ -286,23 +279,18 @@ void PooledMemory::access(std::uint32_t host, Addr line, bool is_write, Cycle no
   }
 
   fabric::Fabric& fab = *fab_[host];
-  if (fab.direct()) {
+  if (direct_) {
     const link::SendResult sr = fab.send_tx(fab_dev, bytes, now, 0);
     msg.arrival = sr.at;
     msg.poisoned = sr.poisoned;
     if (shared) {
-      if (engine_) {
-        // Cross-shard: the pooled ingress belongs to the pool shard. The
-        // send consumed a flow-control credit; the pool returns it when it
-        // pops the message. sr.at >= now + quantum by the SerialPipe
-        // latency floor, so barrier delivery never arrives late.
-        assert(credits_[host][r.sub] > 0);
-        --credits_[host][r.sub];
-        mail_demand_[host].push_back({msg, r.sub});
-      } else {
-        shared_ingress_[r.sub][host].push_back(msg);
-        shared_wake_[r.sub] = std::min(shared_wake_[r.sub], msg.arrival);
-      }
+      // Cross-shard: the pooled ingress belongs to the pool shard. The
+      // send consumed a flow-control credit; the pool returns it when it
+      // pops the message. sr.at >= now + quantum by the SerialPipe
+      // latency floor, so barrier delivery never arrives late.
+      assert(credits_[host][r.sub] > 0);
+      --credits_[host][r.sub];
+      mail_demand_[host].push_back({msg, r.sub});
     } else {
       priv_ingress_[host][r.sub].push_back(msg);
       priv_wake_[host][r.sub] = std::min(priv_wake_[host][r.sub], msg.arrival);
@@ -324,15 +312,6 @@ void PooledMemory::access(std::uint32_t host, Addr line, bool is_write, Cycle no
       ++tx_inflight_priv_[host][r.sub];
     }
   }
-}
-
-void PooledMemory::deliver_inval(std::uint32_t target, std::uint32_t txn,
-                                 std::uint32_t sdev, bool dirty, Cycle arrival) {
-  host_invals_[target].push_back({arrival, txn, sdev, dirty});
-}
-
-void PooledMemory::deliver_ack(std::uint32_t txn, bool dirty, Cycle arrival) {
-  dev_acks_.push_back({arrival, txn, dirty});
 }
 
 bool PooledMemory::start_txn(const Directory::Decision& d, const DeviceMsg& msg,
@@ -380,14 +359,10 @@ bool PooledMemory::pump_txn_sends(std::uint32_t t, Cycle now) {
     // is load- and topology-dependent.
     fabric::Fabric& fab = *fab_[h];
     if (!fab.can_send_rx(x.sdev, now)) continue;
-    if (fab.direct()) {
+    if (direct_) {
       const link::SendResult sr =
           fab.send_rx(x.sdev, link::kReadRequestBytes, now, 0);
-      if (engine_) {
-        mail_inval_[h].push_back({sr.at, t, x.sdev, dirty});
-      } else {
-        deliver_inval(h, t, x.sdev, dirty, sr.at);
-      }
+      mail_inval_[h].push_back({sr.at, t, x.sdev, dirty});
     } else {
       WireMsg wm;
       wm.kind = WireMsg::kInval;
@@ -426,7 +401,6 @@ void PooledMemory::admit_shared(dram::Controller& ctrl, const DeviceMsg& msg,
 void PooledMemory::pump_wire_deliveries(Cycle now) {
   for (std::uint32_t h = 0; h < n_hosts_; ++h) {
     fabric::Fabric& fab = *fab_[h];
-    if (fab.direct()) continue;
     fab.tick(now);
     for (const fabric::Delivery& d : fab.tx_deliveries()) {
       const std::uint32_t m = static_cast<std::uint32_t>(d.payload);
@@ -456,7 +430,7 @@ void PooledMemory::pump_wire_deliveries(Cycle now) {
         }
       } else {
         assert(wm.kind == WireMsg::kAck);
-        deliver_ack(wm.txn, wm.dirty, d.arrival);
+        dev_acks_.push_back({d.arrival, wm.txn, wm.dirty});
       }
     }
     fab.tx_deliveries().clear();
@@ -469,7 +443,8 @@ void PooledMemory::pump_wire_deliveries(Cycle now) {
         finish_read(h, wm.slot, d.arrival, wm.poisoned || d.poisoned);
       } else {
         assert(wm.kind == WireMsg::kInval);
-        deliver_inval(h, wm.txn, txns_[wm.txn].sdev, wm.dirty, d.arrival);
+        host_invals_[h].push_back(
+            {d.arrival, wm.txn, txns_[wm.txn].sdev, wm.dirty});
       }
     }
     fab.rx_deliveries().clear();
@@ -477,6 +452,7 @@ void PooledMemory::pump_wire_deliveries(Cycle now) {
 }
 
 Cycle PooledMemory::tick(Cycle now) {
+  assert(!direct_);
   pump_wire_deliveries(now);
   Cycle wake = pool_tick(now);
   for (std::uint32_t h = 0; h < n_hosts_; ++h) {
@@ -641,7 +617,7 @@ Cycle PooledMemory::pool_tick(Cycle now) {
       if (dd.pingpong) ++ctr_.pingpong_transitions;
       ctr_.recalls_dirty += std::popcount(dd.dirty_mask);
       q.pop_front();
-      if (engine_) {
+      if (direct_) {
         // The pop frees the host's flow-control credit; the return rides
         // the unloaded control latency of the response path.
         mail_credit_[best].push_back({now + credit_lat_, sub});
@@ -709,7 +685,7 @@ Cycle PooledMemory::ship_shared_responses(std::uint32_t host, Cycle now) {
       // also keeps the bounce outside the quantum that produced it.
       ++avail_.bounced_reads;
       const Cycle at = std::max(p.ready, now);
-      if (engine_) {
+      if (direct_) {
         mail_comp_[host].push_back({at + bounce_rx_lat_, p.slot, true});
       } else {
         finish_read(host, p.slot, at, true);
@@ -720,14 +696,10 @@ Cycle PooledMemory::ship_shared_responses(std::uint32_t host, Cycle now) {
       pending[kept++] = p;
       continue;
     }
-    if (fab.direct()) {
+    if (direct_) {
       const link::SendResult sr =
           fab.send_rx(p.device, link::kReadResponseBytes, now, 0);
-      if (engine_) {
-        mail_comp_[host].push_back({sr.at, p.slot, p.poisoned || sr.poisoned});
-      } else {
-        finish_read(host, p.slot, sr.at, p.poisoned || sr.poisoned);
-      }
+      mail_comp_[host].push_back({sr.at, p.slot, p.poisoned || sr.poisoned});
     } else {
       WireMsg wm;
       wm.kind = WireMsg::kResp;
@@ -749,8 +721,8 @@ Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
   Cycle wake = kNoCycle;
   fabric::Fabric& fab = *fab_[host];
 
-  // Matured flow-control credits become usable (engine mode only).
-  if (engine_ && !pending_credits_[host].empty()) {
+  // Matured flow-control credits become usable (direct fabrics only).
+  if (!pending_credits_[host].empty()) {
     auto& pc = pending_credits_[host];
     std::size_t kept = 0;
     for (std::size_t i = 0; i < pc.size(); ++i) {
@@ -814,7 +786,7 @@ Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
         pending[kept++] = p;
         continue;
       }
-      if (fab.direct()) {
+      if (direct_) {
         const link::SendResult sr =
             fab.send_rx(p.device, link::kReadResponseBytes, now, 0);
         finish_read(host, p.slot, sr.at, p.poisoned || sr.poisoned);
@@ -850,16 +822,9 @@ Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
       // A dirty recall ack carries the line back; a clean ack is control.
       const std::uint32_t bytes =
           iv.dirty ? link::kWriteMessageBytes : link::kReadRequestBytes;
-      if (fab.direct()) {
+      if (direct_) {
         const link::SendResult sr = fab.send_tx(iv.sdev, bytes, now, 0);
-        if (engine_) {
-          mail_ack_[host].push_back({sr.at, iv.txn, iv.dirty});
-        } else {
-          // The pool side ticked before this ack existed, and its
-          // transaction sleeps until the ack lands: arm that cycle here.
-          deliver_ack(iv.txn, iv.dirty, sr.at);
-          wake = std::min(wake, sr.at);
-        }
+        mail_ack_[host].push_back({sr.at, iv.txn, iv.dirty});
       } else {
         WireMsg wm;
         wm.kind = WireMsg::kAck;
@@ -927,7 +892,7 @@ void PooledMemory::bounce_msg(std::uint32_t host, const DeviceMsg& msg,
     ++avail_.lost_writes;
   } else {
     ++avail_.bounced_reads;
-    if (engine_) {
+    if (direct_) {
       // The pool shard may not complete a host-owned read slot directly;
       // the poison response crosses back as completion mail, paying the
       // synthesised response's unloaded latency.
@@ -951,7 +916,7 @@ void PooledMemory::pool_fail_onset(Cycle now) {
     for (std::uint32_t h = 0; h < n_hosts_; ++h) {
       for (const DeviceMsg& m : shared_ingress_[sub][h]) {
         bounce_msg(h, m, std::max(m.arrival, now));
-        if (engine_) mail_credit_[h].push_back({now + credit_lat_, sub});
+        if (direct_) mail_credit_[h].push_back({now + credit_lat_, sub});
       }
       shared_ingress_[sub][h].clear();
     }

@@ -27,9 +27,10 @@
 // on acks, wakes when the unlock or the ack arrives), so the event-driven
 // and tick-every-cycle schedulers agree bit-for-bit.
 //
-// Sharded engine (DESIGN.md §14). Direct-fabric pools additionally expose
-// the pump split into shard-owned halves so sim::PooledSystem can run them
-// under the conservative-lookahead quantum engine (sim/shard.hpp):
+// One pump per fabric. Switched pools run tick(), the sequential per-cycle
+// pump that moves wire cookies through the switch planes. Direct-fabric
+// pools run only as shard-owned halves under sim::PooledSystem's
+// conservative-lookahead quantum engine (DESIGN.md §14, sim/shard.hpp):
 //
 //   * host shard h owns: its slice's admission (can_accept/access), the
 //     private-device path end to end (ingress, DRAM, response shipping),
@@ -96,9 +97,9 @@ class PooledMemory {
   void access(std::uint32_t host, Addr line, bool is_write, Cycle now,
               std::uint64_t token);
 
-  /// Advance everything (fabrics, directories, coherence transactions,
-  /// DRAM); returns a conservative wake bound. Sequential (non-engine)
-  /// pump entry — the engine calls the shard halves below instead.
+  /// Advance everything (switch planes, directories, coherence
+  /// transactions, DRAM); returns a conservative wake bound. The switched
+  /// pump only — direct fabrics run the shard halves below instead.
   Cycle tick(Cycle now);
 
   void set_force_tick(bool force) { force_tick_ = force; }
@@ -111,17 +112,13 @@ class PooledMemory {
   /// Whether this pool can run under the quantum engine (direct fabrics
   /// only: a switch's arbitration state spans both directions of every
   /// host, so it cannot be split into independently-pumped shards).
-  bool engine_capable() const { return fab_[0]->direct(); }
+  bool engine_capable() const { return direct_; }
   /// Smallest latency any cross-shard message can experience — the
   /// engine's quantum. Minimum over hosts of the unloaded one-way cost of
   /// the smallest message in each direction; SerialPipe delivery is always
   /// >= now + unloaded latency (backlog, faults and down-training only add
   /// to it), so this is a sound lookahead.
   Cycle min_cross_shard_latency() const;
-  /// Switch admission control to mailbox credits and route cross-shard
-  /// messages through the mailboxes. Requires engine_capable().
-  void set_engine(bool on);
-  bool engine() const { return engine_; }
   /// Pool-shard pump: device failure lifecycle, ack retirement, coherence
   /// transactions, pooled sub-channels, shared response shipping.
   Cycle pool_tick(Cycle now);
@@ -240,7 +237,7 @@ class PooledMemory {
     Addr page = 0;          ///< kDemand: shared page id.
   };
 
-  // ---- cross-shard mailbox messages (engine mode only) -----------------
+  // ---- cross-shard mailbox messages (direct fabrics only) --------------
   struct DemandMail {
     DeviceMsg msg;
     std::uint32_t sub = 0;  ///< Shared sub-channel.
@@ -291,23 +288,20 @@ class PooledMemory {
                    bool poisoned);
   std::uint32_t alloc_txn();
   std::uint32_t alloc_wire(std::uint32_t host, const WireMsg& msg);
-  void deliver_inval(std::uint32_t target, std::uint32_t txn, std::uint32_t sdev,
-                     bool dirty, Cycle arrival);
-  void deliver_ack(std::uint32_t txn, bool dirty, Cycle arrival);
   /// Both return true while the transaction still has an invalidation to
   /// send (its target's return path was out of credit).
   bool start_txn(const Directory::Decision& d, const DeviceMsg& msg,
                  std::uint32_t host, std::uint32_t shared_sub, Cycle now);
   bool pump_txn_sends(std::uint32_t t, Cycle now);
 
-  /// Phase A: switched-fabric wire deliveries (no-op for direct heads).
+  /// Phase A: switched-fabric wire deliveries.
   void pump_wire_deliveries(Cycle now);
   /// Admit a shared demand into its sub-channel's DRAM (directly or as the
   /// completion of a parked transaction).
   void admit_shared(dram::Controller& ctrl, const DeviceMsg& msg,
                     std::uint32_t host, Cycle now);
   /// Phase F, shared half: ship pooled-device responses up `host`'s return
-  /// path (engine: into the completion mailbox).
+  /// path (direct: into the completion mailbox).
   Cycle ship_shared_responses(std::uint32_t host, Cycle now);
 
   // ---- device failure: surprise removal of a shared device (§13) ----
@@ -330,7 +324,7 @@ class PooledMemory {
   std::uint32_t s_subs_ = 0;    ///< s_devs_ * spd_.
   std::uint32_t p_subs_ = 0;    ///< p_devs_ * spd_.
   bool force_tick_ = false;
-  bool engine_ = false;
+  bool direct_ = false;  ///< Direct fabric: mailboxes + credits, no wires.
 
   // Address decode: stage 1 per host (shared-window range decode), stage 2
   // per device class. Lookups are pure (no mutable state), so host shards

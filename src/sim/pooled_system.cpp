@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/env.hpp"
 #include "common/validate.hpp"
 #include "sim/shard.hpp"
 #include "workload/catalog.hpp"
@@ -195,54 +194,57 @@ Cycle PooledSystem::next_event_after(Cycle now) const {
 PooledStats PooledSystem::run(std::uint64_t warmup_instr,
                               std::uint64_t measure_instr) {
   budget_ = warmup_instr + measure_instr;
-  const bool force = tick_every_cycle_ || env_flag("COAXIAL_TICK_EVERY_CYCLE");
-  memory_->set_force_tick(force);
-  if (memory_->engine_capable()) return run_quantum(warmup_instr, force);
+  memory_->set_force_tick(tick_every_cycle_);
+  if (memory_->engine_capable()) return run_quantum(warmup_instr);
   if (workers_ > 1) {
     throw std::invalid_argument(
         "sim::PooledSystem: shard workers require a direct fabric (a switch "
         "arbitrates all hosts in one shared structure and cannot be sharded)");
   }
   effective_workers_ = 1;
-  return run_sequential(warmup_instr, force);
+  return run_sequential(warmup_instr);
 }
 
-PooledStats PooledSystem::run_sequential(std::uint64_t warmup_instr,
-                                         bool force) {
+bool PooledSystem::track_window(std::uint64_t warmup_instr, Cycle at) {
+  if (!window_open_) {
+    bool all_warm = true;
+    for (const Slice& s : slices_) {
+      all_warm = all_warm && s.retired >= warmup_instr;
+    }
+    if (all_warm) {
+      window_open_ = true;
+      window_start_ = at;
+      for (Slice& s : slices_) s.retired_base = s.retired;
+    }
+  }
+  if (window_open_ && !window_closed_) {
+    bool all_done = true;
+    for (const Slice& s : slices_) all_done = all_done && s.halted;
+    if (all_done) {
+      window_closed_ = true;
+      // Exact: the cycle the last slice crossed its budget. A degenerate
+      // warmup==budget engine run can halt before the barrier that opens
+      // the window.
+      for (const Slice& s : slices_) {
+        window_end_ = std::max(window_end_, s.halt_at);
+      }
+      window_end_ = std::max(window_end_, window_start_);
+    }
+  }
+  return window_closed_;
+}
+
+PooledStats PooledSystem::run_sequential(std::uint64_t warmup_instr) {
+  const bool force = tick_every_cycle_;
   Cycle now = 0;
-  Cycle window_end = 0;
-  Cycle total = 0;
-  bool window_closed = false;
   while (true) {
     step(now);
-    if (!window_open_) {
-      bool all_warm = true;
-      for (const Slice& s : slices_) {
-        all_warm = all_warm && s.retired >= warmup_instr;
-      }
-      if (all_warm) {
-        window_open_ = true;
-        window_start_ = now;
-        for (Slice& s : slices_) s.retired_base = s.retired;
-      }
-    }
-    if (window_open_ && !window_closed) {
-      bool all_done = true;
-      for (const Slice& s : slices_) all_done = all_done && s.halted;
-      if (all_done) {
-        window_closed = true;
-        window_end = now;
-      }
-    }
-    if (window_closed && memory_->quiescent()) {
-      total = now;
-      break;
-    }
+    if (track_window(warmup_instr, now) && memory_->quiescent()) break;
     const Cycle next = next_event_after(now);
     if (next == kNoCycle) throw_lost_wake(now);
     now = force ? now + 1 : std::max(next, now + 1);
   }
-  return assemble_stats(window_end, total);
+  return assemble_stats(now);
 }
 
 // Sharded quantum engine (DESIGN.md §14). Shard 0 is the pool side —
@@ -257,8 +259,8 @@ PooledStats PooledSystem::run_sequential(std::uint64_t warmup_instr,
 // the worker count. Idle gaps are skipped in whole quanta (jumps round
 // down to the barrier grid) so the event-driven and tick-every-cycle
 // schedules visit the same barriers and agree byte-for-byte.
-PooledStats PooledSystem::run_quantum(std::uint64_t warmup_instr, bool force) {
-  memory_->set_engine(true);
+PooledStats PooledSystem::run_quantum(std::uint64_t warmup_instr) {
+  const bool force = tick_every_cycle_;
   const Cycle q = memory_->min_cross_shard_latency();
   const std::size_t n_shards = static_cast<std::size_t>(cfg_.n_hosts) + 1;
   shard::WorkerTeam team(workers_, n_shards);
@@ -267,10 +269,6 @@ PooledStats PooledSystem::run_quantum(std::uint64_t warmup_instr, bool force) {
   // Next cycle each shard needs to run (kNoCycle = asleep until mail).
   std::vector<Cycle> shard_next(n_shards, 0);
   Cycle t = 0;
-  Cycle window_end = 0;
-  Cycle total = 0;
-  bool window_closed = false;
-
   while (true) {
     const Cycle t_end = t + q;
     const auto pump = [&](std::size_t sh) {
@@ -324,34 +322,9 @@ PooledStats PooledSystem::run_quantum(std::uint64_t warmup_instr, bool force) {
       COAXIAL_PROF_SCOPE(kShardDrain);
       effect = memory_->exchange_shard_mail(t_end);
     }
-    if (!window_open_) {
-      bool all_warm = true;
-      for (const Slice& s : slices_) {
-        all_warm = all_warm && s.retired >= warmup_instr;
-      }
-      if (all_warm) {
-        window_open_ = true;
-        window_start_ = t_end;  // Barrier-rounded (the engine's grid).
-        for (Slice& s : slices_) s.retired_base = s.retired;
-      }
-    }
-    if (window_open_ && !window_closed) {
-      bool all_done = true;
-      for (const Slice& s : slices_) all_done = all_done && s.halted;
-      if (all_done) {
-        window_closed = true;
-        // Exact: the cycle the last slice crossed its budget. A degenerate
-        // warmup==budget run can halt before the window's barrier opens it.
-        for (const Slice& s : slices_) {
-          window_end = std::max(window_end, s.halt_at);
-        }
-        window_end = std::max(window_end, window_start_);
-      }
-    }
-    if (window_closed && memory_->quiescent()) {
-      total = t_end;
-      break;
-    }
+    // The window opens on the barrier grid; it closes at the exact cycle
+    // the last slice halted.
+    if (track_window(warmup_instr, t_end) && memory_->quiescent()) break;
     // Jump: skip whole quanta nobody needs, rounding down to the barrier
     // grid so both scheduler modes visit identical barrier sequences.
     // Completions still queued for a slice are drained at the top of the
@@ -370,7 +343,7 @@ PooledStats PooledSystem::run_quantum(std::uint64_t warmup_instr, bool force) {
     t = force ? t_end : std::max(t_end, global_next / q * q);
   }
   worker_prof_totals_ = team.shutdown();
-  return assemble_stats(window_end, total);
+  return assemble_stats(t + q);  // The run ends at its last barrier.
 }
 
 void PooledSystem::throw_lost_wake(Cycle now) const {
@@ -383,9 +356,9 @@ void PooledSystem::throw_lost_wake(Cycle now) const {
                          memory_->pending_work() + ")");
 }
 
-PooledStats PooledSystem::assemble_stats(Cycle window_end, Cycle total) const {
+PooledStats PooledSystem::assemble_stats(Cycle total) const {
   PooledStats st;
-  st.window_cycles = window_end - window_start_;
+  st.window_cycles = window_end_ - window_start_;
   st.total_cycles = total;
   FixedHistogram merged;
   double ipc_sum = 0;

@@ -26,8 +26,8 @@
 //
 // Determinism (both pumps): slices are stepped in host order every cycle
 // while retiring (each live slice arms a now+1 wake), so per-step stall
-// counters are identical whether the scheduler runs event-driven or with
-// COAXIAL_TICK_EVERY_CYCLE=1; event skipping only compresses idle gaps —
+// counters are identical whether the scheduler runs event-driven or in
+// lockstep (set_tick_every_cycle); event skipping only compresses idle gaps —
 // the engine additionally rounds skips down to quantum boundaries so both
 // modes observe every barrier predicate transition at the same barrier.
 #pragma once
@@ -69,7 +69,7 @@ class PooledSystem {
   /// host crosses the full budget.
   PooledStats run(std::uint64_t warmup_instr, std::uint64_t measure_instr);
 
-  /// Force the per-cycle scheduler (also via COAXIAL_TICK_EVERY_CYCLE=1).
+  /// Force the per-cycle scheduler (RunRequest::tick_every_cycle).
   void set_tick_every_cycle(bool on) { tick_every_cycle_ = on; }
 
   /// Request N shard workers for the quantum engine (clamped to the shard
@@ -132,12 +132,17 @@ class PooledSystem {
   void drain_completions(std::uint32_t h);
   void fetch(Slice& s, std::uint32_t h);
   Cycle next_event_after(Cycle now) const;
-  PooledStats run_sequential(std::uint64_t warmup_instr, bool force);
-  PooledStats run_quantum(std::uint64_t warmup_instr, bool force);
+  /// Window bookkeeping shared by both pumps, called after a step (at
+  /// `now`) or a barrier (at its cycle): opens the window at `at` once every
+  /// host is warm, closes it once every host has halted. Returns whether
+  /// the window is closed.
+  bool track_window(std::uint64_t warmup_instr, Cycle at);
+  PooledStats run_sequential(std::uint64_t warmup_instr);
+  PooledStats run_quantum(std::uint64_t warmup_instr);
   /// Throws std::logic_error naming the pool's non-empty structures: the
   /// drain found nothing armed while work remains.
   [[noreturn]] void throw_lost_wake(Cycle now) const;
-  PooledStats assemble_stats(Cycle window_end, Cycle total) const;
+  PooledStats assemble_stats(Cycle total) const;
   void register_metrics();
 
   pool::PoolConfig cfg_;
@@ -156,7 +161,9 @@ class PooledSystem {
   Cycle mem_wake_ = 0;
   std::uint64_t budget_ = 0;  ///< Per-host warmup + measure retirements.
   bool window_open_ = false;
+  bool window_closed_ = false;
   Cycle window_start_ = 0;
+  Cycle window_end_ = 0;
 };
 
 }  // namespace coaxial::sim

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "common/env.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/profiler.hpp"
 #include "obs/stats_json.hpp"
@@ -31,6 +30,7 @@ namespace {
 /// a per-core instruction count.
 RunResult run_service(const RunRequest& request) {
   ServiceDriver driver(request.config, request.service, request.seed);
+  driver.set_tick_every_cycle(request.tick_every_cycle);
   const auto wall_start = std::chrono::steady_clock::now();
   driver.run();
   const std::chrono::duration<double> wall =
@@ -56,18 +56,11 @@ RunResult run_service(const RunRequest& request) {
 /// as any closed-loop run.
 RunResult run_pooled(const RunRequest& request) {
   PooledSystem system(request.pool, request.seed);
-  // Shard-worker resolution (DESIGN.md §14): an explicit request wins over
-  // COAXIAL_SHARDS; the harness cap (run_many) bounds both. An explicit
-  // multi-worker request on a switched pool is an error (run() throws); an
-  // env-derived one is clamped so COAXIAL_SHARDS=N batch runs keep working
-  // across mixed topologies.
-  const bool explicit_shards = request.shards != 0;
-  std::uint32_t want =
-      explicit_shards ? request.shards
-                      : static_cast<std::uint32_t>(env_u64("COAXIAL_SHARDS", 1));
-  if (want == 0) want = 1;
+  system.set_tick_every_cycle(request.tick_every_cycle);
+  // Shard workers (DESIGN.md §14), bounded by the harness cap (run_many).
+  // More than one on a switched pool is an error (run() throws).
+  std::uint32_t want = std::max(request.shards, 1u);
   if (request.shard_cap != 0) want = std::min(want, request.shard_cap);
-  if (want > 1 && !explicit_shards && system.lookahead() == 0) want = 1;
   system.set_workers(want);
 
   const obs::prof::Totals prof_base = obs::prof::thread_totals();
@@ -143,6 +136,7 @@ RunResult run_one(const RunRequest& request) {
   }
 
   System system(cfg, per_core, request.seed);
+  system.set_tick_every_cycle(request.tick_every_cycle);
   const obs::prof::Totals prof_base = obs::prof::thread_totals();
   const auto wall_start = std::chrono::steady_clock::now();
   system.run(request.warmup_instr, request.measure_instr);

@@ -44,15 +44,18 @@ struct RunRequest {
   std::uint64_t tier_fast_pages = 0;
   Cycle tier_epoch_cycles = 0;
 
-  /// Intra-run shard workers for pooled runs (DESIGN.md §14). 0 reads
-  /// COAXIAL_SHARDS (default 1: the sequential inline pump). Any worker
-  /// count yields byte-identical stats. Explicitly requesting > 1 on a
-  /// switched pool throws; an env-derived value is clamped to 1 there.
+  /// Intra-run shard workers for pooled runs (DESIGN.md §14). 0 and 1 both
+  /// mean one worker (every shard pumped inline). Any worker count yields
+  /// byte-identical stats. Requesting > 1 on a switched pool throws.
   std::uint32_t shards = 0;
   /// Harness cap on effective shard workers (0 = uncapped). run_many sets
   /// it from inner_shard_cap() so outer runs x inner shard workers never
   /// oversubscribe the machine.
   std::uint32_t shard_cap = 0;
+
+  /// Advance every component every cycle instead of skipping idle ones (the
+  /// lockstep reference schedule). Stats are byte-identical either way.
+  bool tick_every_cycle = false;
 };
 
 struct RunResult {

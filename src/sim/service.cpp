@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/env.hpp"
 #include "common/validate.hpp"
 
 namespace coaxial::sim {
@@ -200,7 +199,6 @@ Cycle ServiceDriver::next_event_after(Cycle now) const {
 }
 
 void ServiceDriver::run() {
-  if (env_flag("COAXIAL_TICK_EVERY_CYCLE")) tick_every_cycle_ = true;
   memory_->set_force_tick(tick_every_cycle_);
 
   Cycle now = 0;

@@ -18,7 +18,7 @@
 //
 // Determinism contract: results are byte-identical for identical
 // (SystemConfig, ServiceConfig, seed), and identical between the
-// event-driven loop and COAXIAL_TICK_EVERY_CYCLE=1 lockstep. Everything is
+// event-driven loop and lockstep (RunRequest::tick_every_cycle). Everything is
 // keyed off arrival/admission/`done` cycles (mode-invariant quantities);
 // the driver never reads "which cycle did the host happen to look".
 #pragma once
@@ -108,8 +108,8 @@ class ServiceDriver {
   ServiceDriver(const sys::SystemConfig& cfg, const ServiceConfig& svc,
                 std::uint64_t seed = 42);
 
-  /// Force lockstep ticking (also selectable via COAXIAL_TICK_EVERY_CYCLE,
-  /// read inside run()). Call before run().
+  /// Force lockstep ticking (RunRequest::tick_every_cycle). Call before
+  /// run().
   void set_tick_every_cycle(bool v) { tick_every_cycle_ = v; }
 
   /// Generate arrivals over [0, warmup + measure), admit against the

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "common/env.hpp"
 #include "obs/profiler.hpp"
 
 namespace coaxial::sim {
@@ -828,15 +827,6 @@ void System::publish_run_metrics() {
   cs.counter("false_positives")->set(stats_.calm.false_positives);
   cs.counter("true_negatives")->set(stats_.calm.true_negatives);
   cs.counter("false_negatives")->set(stats_.calm.false_negatives);
-  // Scheduler telemetry is opt-in: registering it unconditionally would
-  // change the metrics tree shape and break golden-baseline comparisons.
-  if (env_flag("COAXIAL_SCHED_STATS")) {
-    const obs::Scope sc(&metrics_, "sim/sched");
-    sc.counter("events_dispatched")->set(stats_.sched_events);
-    sc.counter("cycles_dispatched")->set(stats_.sched_cycles_dispatched);
-    sc.counter("cycles_skipped")->set(stats_.sched_cycles_skipped);
-    sc.gauge("skip_ratio")->set(stats_.sched_skip_ratio());
-  }
 }
 
 void System::prewarm_caches(std::uint64_t seed) {
@@ -904,7 +894,6 @@ void System::set_tick_every_cycle(bool v) {
 }
 
 void System::run(std::uint64_t warmup_instr, std::uint64_t measure_instr) {
-  if (env_flag("COAXIAL_TICK_EVERY_CYCLE")) set_tick_every_cycle(true);
   prewarm_caches(seed_);
   const std::uint32_t active = cfg_.uarch.active_cores;
   auto all_reached = [&](std::uint64_t target) {

@@ -4,6 +4,12 @@
 // L1 hits are handled inline; everything below L1 flows through a small
 // event heap (L2 lookup, LLC lookup/response, memory arrival), which keeps
 // per-cycle work proportional to actual memory traffic.
+//
+// Why single-host runs stay sequential: that payload heap's same-cycle
+// ordering (heap insertion order) is results-affecting global state that a
+// partition would have to reproduce exactly. The sharded parallel pump
+// (DESIGN.md §14, sim/shard.hpp) therefore targets sim::PooledSystem, whose
+// per-host slices own disjoint state by construction.
 #pragma once
 
 #include <cstdint>
@@ -138,9 +144,9 @@ class System : public core::MemoryPort {
   void run(std::uint64_t warmup_instr, std::uint64_t measure_instr);
 
   /// Disable idle-cycle skipping: advance every component every cycle (the
-  /// pre-scheduler reference loop). Call before run(). Also selectable via
-  /// the COAXIAL_TICK_EVERY_CYCLE environment variable; used by the
-  /// event-driven-vs-forced equivalence test and for A/B timing.
+  /// pre-scheduler reference loop). Call before run(); run_one() applies
+  /// RunRequest::tick_every_cycle here. Used by the event-driven-vs-lockstep
+  /// equivalence tests and for A/B timing.
   void set_tick_every_cycle(bool v);
   bool tick_every_cycle() const { return tick_every_cycle_; }
 

@@ -94,7 +94,7 @@ TEST(Determinism, ShardWorkerCountNeverChangesThePooledDocument) {
 
 TEST(Determinism, ShardKnobIsInertForSingleHostRuns) {
   // Single-host System runs stay sequential (the payload event queue's
-  // same-cycle tie-break is global state; see sim/scheduler.hpp). The shard
+  // same-cycle tie-break is global state; see sim/system.hpp). The shard
   // knob must therefore not perturb the golden baseline, RAS, or tiered
   // documents in any way.
   std::vector<RunRequest> reqs = golden_requests();

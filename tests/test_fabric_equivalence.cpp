@@ -1,7 +1,7 @@
 // Event-driven-vs-forced equivalence for the switched-fabric topologies:
 // the conservative Switch/SerialPipe wake bounds must make a skipping run
-// byte-identical to COAXIAL_TICK_EVERY_CYCLE=1, including every fabric/*
-// metric. Lives in the `invariant` label so the ASan CI pass runs it.
+// byte-identical to lockstep ticking, including every fabric/* metric.
+// Lives in the `invariant` label so the ASan CI pass runs it.
 #include <string>
 #include <vector>
 
@@ -34,12 +34,25 @@ void expect_modes_equivalent(const sys::SystemConfig& cfg, const std::string& wl
   EXPECT_EQ(doc_event, doc_forced) << cfg.name << "/" << wl;
 }
 
+/// One active core leaves the switch idle between messages, so a response
+/// or watchdog reissue sent after the planes ticked must arm its own wake.
+void expect_one_core_modes_equivalent(sys::SystemConfig cfg) {
+  cfg.uarch.active_cores = 1;
+  for (const char* wl : {"gcc", "mcf", "canneal"}) expect_modes_equivalent(cfg, wl);
+}
+
 TEST(FabricEquivalence, StarMatchesForcedTicking) {
   expect_modes_equivalent(sys::coaxial_star(8, 4), "lbm");
+  expect_one_core_modes_equivalent(sys::coaxial_star(8, 4));
+  sys::SystemConfig ras = sys::coaxial_star(8, 4);
+  ras.uarch.active_cores = 1;
+  ras.fault_plan = sys::ras_stress();
+  expect_modes_equivalent(ras, "gcc");
 }
 
 TEST(FabricEquivalence, TreeMatchesForcedTicking) {
   expect_modes_equivalent(sys::coaxial_tree(8, 4, 2), "stream-copy");
+  expect_one_core_modes_equivalent(sys::coaxial_tree(8, 4, 2));
 }
 
 TEST(FabricEquivalence, StarLineInterleaveMatchesForcedTicking) {

@@ -34,8 +34,10 @@ const char* kGoldenPath = COAXIAL_GOLDEN_DIR "/baseline.json";
 
 // The golden scenario set lives in sim::golden_requests() so this test and
 // the tools/golden_run CLI always describe the same runs.
-std::string run_golden_document() {
-  return stats_json(run_many(golden_requests(), 1));
+std::string run_golden_document(bool tick_every_cycle = false) {
+  std::vector<RunRequest> requests = golden_requests();
+  for (RunRequest& r : requests) r.tick_every_cycle = tick_every_cycle;
+  return stats_json(run_many(requests, 1));
 }
 
 bool read_file(const std::string& path, std::string& out) {
@@ -78,6 +80,13 @@ TEST(GoldenStats, MatchesCheckedInBaseline) {
   EXPECT_TRUE(diffs.empty())
       << diffs.size() << " metric(s) drifted from the golden baseline; if the "
       << "change is intentional, regenerate with COAXIAL_REGEN_GOLDEN=1";
+}
+
+TEST(GoldenStats, LockstepDocumentIsByteIdentical) {
+  // Event-driven scheduling only skips cycles in which nothing can happen,
+  // so the lockstep reference loop must reproduce every row byte for byte:
+  // single-host System runs and the pooled engine and switched pumps.
+  EXPECT_EQ(run_golden_document(/*tick_every_cycle=*/true), run_golden_document());
 }
 
 TEST(GoldenStats, DiffEngineCatchesInjectedPerturbation) {

@@ -1,6 +1,6 @@
 // Open-loop service traffic: arrival-process determinism and mean
 // conservation, ServiceDriver seed determinism (byte-identical svc/*
-// stats), event-driven vs COAXIAL_TICK_EVERY_CYCLE=1 equivalence, golden
+// stats), event-driven vs lockstep equivalence, golden
 // inertness when the mode is off, and the RunResult plumbing for mixed
 // open/closed-loop batches.
 #include <cstdint>

@@ -98,7 +98,6 @@ void run_case(const StreamParams& p) {
   const Geometry geometry;  // 8 groups x 4 banks.
   Controller fast(timing, geometry);
   Controller slow(timing, geometry);
-  fast.set_ready_cache(true);  // Explicit: immune to COAXIAL_NO_READY_CACHE.
   slow.set_ready_cache(false);
   drive_pair(fast, slow, p);
   expect_same_stats(fast, slow);

@@ -256,14 +256,15 @@ TEST(PooledSystem, SchedulerModesAreByteIdenticalSwitched) {
 
 TEST(PooledMemory, PendingWorkNamesTheStructuresHoldingWork) {
   // The lost-wake diagnostic: an idle pool reports nothing, a pool holding
-  // an admitted read names its in-flight slot and the ingress queue.
+  // an admitted read names its in-flight slot and the demand mail that
+  // carries it to the pool shard (direct fabrics run the shard halves).
   pool::PooledMemory m(small_pool(2));
   EXPECT_TRUE(m.quiescent());
   EXPECT_EQ(m.pending_work(), "");
   ASSERT_TRUE(m.can_accept(1, pool::kPoolSharedBaseLine, false, 0));
   m.access(1, pool::kPoolSharedBaseLine, false, 0, /*token=*/0);
   EXPECT_FALSE(m.quiescent());
-  EXPECT_EQ(m.pending_work(), "inflight_reads=1, shared_ingress=1");
+  EXPECT_EQ(m.pending_work(), "inflight_reads=1, mail=1");
 }
 
 TEST(PooledSystem, RepeatedRunsAreByteIdentical) {

@@ -10,7 +10,7 @@
 // mailbox drain, a worker-count-dependent barrier decision — fails loudly.
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -311,27 +311,6 @@ TEST(ShardGuards, ExplicitWorkersOnSwitchedPoolThrow) {
   sim::RunRequest req = pooled_request(sys::coaxial_pooled_switched(2),
                                        /*shards=*/2);
   EXPECT_THROW(sim::run_one(req), std::invalid_argument);
-}
-
-TEST(ShardGuards, EnvWorkersOnSwitchedPoolClampToSequential) {
-  // COAXIAL_SHARDS=N applies to a whole batch; a switched pool in the batch
-  // must clamp to the sequential pump instead of killing the run.
-  ::setenv("COAXIAL_SHARDS", "4", /*overwrite=*/1);
-  sim::RunRequest req = pooled_request(sys::coaxial_pooled_switched(2),
-                                       /*shards=*/0);
-  const sim::RunResult res = sim::run_one(req);
-  ::unsetenv("COAXIAL_SHARDS");
-  EXPECT_EQ(res.shards, 1u);
-}
-
-TEST(ShardGuards, EnvWorkersDriveDirectPools) {
-  ::setenv("COAXIAL_SHARDS", "2", /*overwrite=*/1);
-  const sim::RunResult res = sim::run_one(pooled_request(small_pool(2), 0));
-  ::unsetenv("COAXIAL_SHARDS");
-  EXPECT_EQ(res.shards, 2u);
-  // And the env-driven run matches the explicit sequential one.
-  EXPECT_EQ(stats_json(res),
-            stats_json(sim::run_one(pooled_request(small_pool(2), 1))));
 }
 
 // ------------------------------------------------- outer x inner worker cap

@@ -18,7 +18,10 @@ class SvgTest : public ::testing::Test {
     ss << f.rdbuf();
     return ss.str();
   }
-  std::string path_ = "/tmp/coaxial_test_plot.svg";
+  // One file per test: ctest runs this suite's tests as parallel processes.
+  std::string path_ =
+      std::string("/tmp/coaxial_test_plot_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".svg";
 };
 
 TEST_F(SvgTest, BarChartWritesWellFormedSvg) {

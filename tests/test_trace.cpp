@@ -14,7 +14,10 @@ namespace {
 class TraceTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = "/tmp/coaxial_test_trace.bin";
+  // One file per test: ctest runs this suite's tests as parallel processes.
+  std::string path_ =
+      std::string("/tmp/coaxial_test_trace_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".bin";
 };
 
 TEST_F(TraceTest, RecordThenReplayRoundTrips) {
