@@ -6,8 +6,8 @@
 # service, tiering, pooling and availability benches: their ras/*, svc/*,
 # tier/*, pool/* and ras/avail/* stats must agree exactly across two
 # runs), smoke the sanitizer build (-DCOAXIAL_SANITIZE=ON) on the
-# invariant + golden + fabric + ras + perf + svc + tier + pool + avail
-# ctest labels, and run the sched label (sharded quantum engine, DESIGN.md
+# invariant + golden + fabric + ras + perf + svc + tier + pool + avail +
+# dram ctest labels, and run the sched label (sharded quantum engine, DESIGN.md
 # §14) under TSan (-DCOAXIAL_SANITIZE=thread) to prove the quantum
 # barriers race-free.
 # Host performance is measured by bench_perf (BENCHMARK.json,
@@ -91,8 +91,10 @@ cmake --build "${SAN_DIR}" -j "${JOBS}"
 # drive every layer (cores, caches, DRAM, CXL, switched fabric, scheduler,
 # fault injection, open-loop service traffic, tiered placement/migration,
 # multi-host pooling/coherence, device-failure lifecycle) end to end under
-# the sanitizers without rerunning all 600+ tests.
-ctest --test-dir "${SAN_DIR}" --output-on-failure -j "${JOBS}" -L "invariant|golden|fabric|ras|perf|svc|tier|pool|avail"
+# the sanitizers without rerunning all 600+ tests. The dram label adds the
+# controller's own suites: its packed scan keys and parallel queue arrays
+# are where out-of-bounds and truncation bugs would hide.
+ctest --test-dir "${SAN_DIR}" --output-on-failure -j "${JOBS}" -L "invariant|golden|fabric|ras|perf|svc|tier|pool|avail|dram"
 
 echo "=== thread-sanitizer build (TSan, sched label) ==="
 # The sharded quantum engine (DESIGN.md §14) is the only multi-threaded

@@ -173,6 +173,7 @@ CxlMemory::CxlMemory(const fabric::FabricConfig& fab, std::uint32_t cxl_channels
   fixed_read_overhead_ = fabric_->unloaded_tx_cycles(link::kReadRequestBytes) +
                          fabric_->unloaded_rx_cycles(link::kReadResponseBytes);
   pending_responses_.resize(n_devices_);
+  pending_ready_.assign(n_devices_, kNoCycle);
   const std::uint32_t n_sub = subchannels();
   ctrls_.reserve(n_sub);
   device_ingress_.resize(n_sub);
@@ -364,6 +365,7 @@ void CxlMemory::fail_onset(Cycle now) {
     bounce_read(slot, std::max(p.ready, now));
   }
   pending.clear();
+  pending_ready_[dev] = kNoCycle;
   fabric_->set_link_down(dev);
   ++avail_.devices_offlined;
 }
@@ -543,6 +545,7 @@ Cycle CxlMemory::tick(Cycle now) {
     for (const auto& comp : done) {
       pending_responses_[dev].push_back(
           {comp.done, comp.token, comp.service, comp.queue_delay});
+      pending_ready_[dev] = std::min(pending_ready_[dev], comp.done);
       --sub_reads_outstanding_[sub];  // Controllers only complete reads.
     }
     done.clear();
@@ -563,6 +566,13 @@ Cycle CxlMemory::tick(Cycle now) {
         bounce_read(slot, std::max(p.ready, now));
       }
       pending.clear();
+      pending_ready_[dev] = kNoCycle;
+      continue;
+    }
+    if (!force_tick_ && pending_ready_[dev] > now) {
+      // Nothing parked is ready: the send loop below would skip every entry
+      // and the wake loop would yield exactly the earliest ready cycle.
+      wake = std::min(wake, pending_ready_[dev]);
       continue;
     }
     for (std::size_t i = 0; i < pending.size();) {
@@ -587,10 +597,14 @@ Cycle CxlMemory::tick(Cycle now) {
     // the return path is out of credit — at the cycle the credit frees
     // (exact for direct links: rx_busy_until_ only moves on sends, which
     // happen in this loop; conservative next-cycle retry through switches).
+    // The earliest ready cycle among them gates the next visit.
+    Cycle ready = kNoCycle;
     for (const PendingResponse& p : pending) {
+      ready = std::min(ready, p.ready);
       const Cycle at = p.ready > now ? p.ready : fabric_->rx_credit_cycle(dev, now);
       wake = std::min(wake, std::max(at, now + 1));
     }
+    pending_ready_[dev] = ready;
   }
   if (plan_.watchdog()) wake = std::min(wake, pump_watchdog(now));
   // Responses and watchdog reissues sent above entered a switch plane after

@@ -313,6 +313,11 @@ class CxlMemory final : public MemorySystem {
   std::vector<Cycle> sub_wake_;  // next cycle each sub-channel could act
   std::vector<std::uint32_t> fabric_tx_inflight_;  // per sub-channel, switched only
   std::vector<std::vector<PendingResponse>> pending_responses_;    // per device
+  // Per device: the earliest `ready` among its parked responses (kNoCycle
+  // when none). While it lies in the future the device's send and wake
+  // loops are skipped (unless ticking is forced); it is exact, so skipping
+  // changes nothing.
+  std::vector<Cycle> pending_ready_;
   bool force_tick_ = false;
   std::vector<MemCompletion> out_;
   std::vector<InflightRead> inflight_;  // slot-addressed by internal id

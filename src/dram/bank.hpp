@@ -2,7 +2,8 @@
 //
 // Each bank tracks its open row and the earliest cycle at which each command
 // class may next be issued to it. Cross-bank constraints (tRRD, tFAW, tCCD,
-// bus turnaround) live in the controller.
+// bus turnaround) live in the controller, which also mirrors `open`/`row`
+// into a compact per-bank open-row array for its scheduling scans.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +20,6 @@ struct Bank {
   Cycle next_rd = 0;   ///< Earliest read CAS (after tRCD).
   Cycle next_wr = 0;   ///< Earliest write CAS (after tRCD).
   Cycle next_pre = 0;  ///< Earliest PRE (after tRAS / tRTP / tWR).
-
-  bool row_hit(std::uint32_t r) const { return open && row == r; }
 };
 
 }  // namespace coaxial::dram

@@ -1,6 +1,7 @@
 #include "dram/controller.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/profiler.hpp"
 
@@ -10,16 +11,30 @@ namespace {
 /// FR-FCFS fairness guard: only the oldest `kScanWindow` entries of a queue
 /// compete for issue, bounding both starvation and per-tick scan cost.
 constexpr std::size_t kScanWindow = 16;
+
+/// Rejects geometries whose indices overflow the packed ScanKey fields.
+const Geometry& checked_key_widths(const Geometry& g) {
+  if (std::uint64_t{g.banks()} * g.ranks > (std::uint64_t{1} << 16)) {
+    throw std::invalid_argument("dram::Controller: more than 65536 banks per sub-channel");
+  }
+  if (std::uint64_t{g.ranks} * g.bank_groups > (std::uint64_t{1} << 8)) {
+    throw std::invalid_argument(
+        "dram::Controller: more than 256 rank x bank-group pairs per sub-channel");
+  }
+  return g;
+}
 }  // namespace
 
 Controller::Controller(const Timing& timing, const Geometry& geometry,
                        std::size_t read_queue_depth, std::size_t write_queue_depth,
                        obs::Scope scope)
     : timing_(timing),
-      amap_(geometry, geometry.permutation_interleave),
+      amap_(checked_key_widths(geometry), geometry.permutation_interleave),
       read_depth_(read_queue_depth),
       write_depth_(write_queue_depth),
+      multi_rank_(geometry.ranks > 1),
       banks_(geometry.total_banks()),
+      open_row_(geometry.total_banks(), kClosedRow),
       bank_last_use_(geometry.total_banks(), 0),
       idle_eligible_(geometry.total_banks(), kNoCycle),
       next_act_rank_(geometry.ranks, 0),
@@ -68,25 +83,31 @@ bool Controller::enqueue(Addr local_line, bool is_write, Cycle now, std::uint64_
   if (!can_accept(is_write)) return false;
   if (!is_write) {
     // Write-to-read forwarding: a read that hits a queued write is served
-    // from the controller's write buffer without touching DRAM. The line
-    // index makes the check O(1) instead of a write-queue scan.
-    auto it = write_lines_.find(local_line);
-    if (it != write_lines_.end() && it->second > 0) {
+    // from the controller's write buffer without touching DRAM. The write
+    // queue's line array is contiguous, 8 bytes an entry, so the check is
+    // one short linear scan.
+    const std::vector<Addr>& wl = write_q_.lines;
+    if (std::find(wl.begin(), wl.end(), local_line) != wl.end()) {
       completions_.push_back({token, now + 1, 1, 0});
       ++stats_.reads_forwarded;
       read_hist_.add(1);
       return true;
     }
   }
+  const Geometry& g = amap_.geometry();
   Request req;
   req.coord = amap_.map(local_line);
-  req.flat_bank = req.coord.flat_bank_all(amap_.geometry());
-  req.rg = req.coord.rank * amap_.geometry().bank_groups + req.coord.bank_group;
   req.arrival = now;
   req.token = token;
-  req.local_line = local_line;
-  (is_write ? write_q_ : read_q_).push_back(req);
-  if (is_write) ++write_lines_[local_line];
+  ScanKey key;
+  key.row = req.coord.row;
+  key.bank = static_cast<std::uint16_t>(req.coord.flat_bank_all(g));
+  key.rank = static_cast<std::uint8_t>(req.coord.rank);
+  key.rg = static_cast<std::uint8_t>(req.coord.rank * g.bank_groups + req.coord.bank_group);
+  Queue& q = is_write ? write_q_ : read_q_;
+  q.reqs.push_back(req);
+  q.keys.push_back(key);
+  q.lines.push_back(local_line);
   // A new candidate entered the queue window: the cached next-ready cycle
   // for that queue no longer bounds it, and neither does the whole-tick
   // wake bound (drain-mode watermarks also depend on queue depth).
@@ -149,39 +170,31 @@ Cycle Controller::tick(Cycle now) {
   return compute_wake(now);
 }
 
-Cycle Controller::cas_earliest(const Request& req, bool is_write) const {
-  const Geometry& g = amap_.geometry();
-  const Bank& b = banks_[req.flat_bank];
+Cycle Controller::cas_earliest(const ScanKey& key, bool is_write) const {
+  const Bank& b = banks_[key.bank];
   Cycle t = is_write ? b.next_wr : b.next_rd;
-  t = std::max(t, next_cas_rank_[req.coord.rank]);
-  const std::size_t rg = req.rg;
-  t = std::max(t, next_cas_group_[rg]);
+  t = std::max(t, next_cas_rank_[key.rank]);
+  t = std::max(t, next_cas_group_[key.rg]);
   // Rank-to-rank bus turnaround (tCS): switching ranks mid-stream stalls
   // the shared data bus briefly — the 2DPC bandwidth cost.
-  if (g.ranks > 1 && req.coord.rank != last_cas_rank_) {
+  if (multi_rank_ && key.rank != last_cas_rank_) {
     t = std::max(t, last_cas_end_ + timing_.cs);
   }
   if (is_write) {
     t = std::max(t, next_wr_bus_);
   } else {
-    t = std::max(t, std::max(next_rd_bus_, next_rd_after_wr_group_[rg]));
+    t = std::max(t, std::max(next_rd_bus_, next_rd_after_wr_group_[key.rg]));
   }
   return t;
 }
 
-Cycle Controller::prep_earliest(const Request& req) const {
-  const Bank& b = banks_[req.flat_bank];
-  if (b.open && b.row != req.coord.row) return b.next_pre;
-  if (!b.open) {
-    const std::size_t rg = req.rg;
-    Cycle t = std::max(b.next_act, next_act_rank_[req.coord.rank]);
-    t = std::max(t, next_act_group_[rg]);
-    // tFAW: at most four ACTs per rank in any window (slot 0 = "never used").
-    const FawWindow& faw = faw_[req.coord.rank];
-    if (faw.acts[faw.pos] != 0) t = std::max(t, faw.acts[faw.pos] + timing_.faw);
-    return t;
-  }
-  return kNoCycle;  // Open on the right row: the CAS candidate covers it.
+Cycle Controller::prep_earliest(const ScanKey& key, std::uint32_t open_row) const {
+  // Selects instead of branching: whether a window candidate's bank is open
+  // is close to a coin flip under random traffic.
+  const Bank& b = banks_[key.bank];
+  Cycle act = std::max(b.next_act, next_act_rank_[key.rank]);
+  act = std::max(act, next_act_group_[key.rg]);
+  return open_row != kClosedRow ? b.next_pre : act;  // Open on another row: PRE.
 }
 
 Cycle Controller::compute_wake(Cycle now) const {
@@ -205,7 +218,7 @@ Cycle Controller::compute_wake(Cycle now) const {
   } else {
     wake = std::min(wake, std::max(now + 1, next_refresh_));
   }
-  const auto queue_candidates = [&](const std::vector<Request>& q, bool is_write) {
+  const auto queue_candidates = [&](const Queue& q, bool is_write) {
     // A still-valid cached bound is exact, not just conservative: it was a
     // min over frozen candidate timestamps, none of which were floored (a
     // floored candidate would have expired the cache), and refresh_pending_
@@ -219,13 +232,12 @@ Cycle Controller::compute_wake(Cycle now) const {
     const std::size_t window = std::min(q.size(), kScanWindow);
     Cycle q_ready = kNoCycle;
     for (std::size_t i = 0; i < window; ++i) {
-      const Request& req = q[i];
-      const Bank& b = banks_[req.flat_bank];
-      if (b.row_hit(req.coord.row)) {
-        q_ready = std::min(q_ready, std::max(now + 1, cas_earliest(req, is_write)));
+      const ScanKey& key = q.keys[i];
+      const std::uint32_t open_row = open_row_[key.bank];
+      if (open_row == key.row) {
+        q_ready = std::min(q_ready, std::max(now + 1, cas_earliest(key, is_write)));
       } else if (!refresh_pending_) {
-        const Cycle t = prep_earliest(req);
-        if (t != kNoCycle) q_ready = std::min(q_ready, std::max(now + 1, t));
+        q_ready = std::min(q_ready, std::max(now + 1, prep_earliest(key, open_row)));
       }
     }
     // Cache the per-queue bound: until q_ready (and absent any command or
@@ -236,17 +248,21 @@ Cycle Controller::compute_wake(Cycle now) const {
   queue_candidates(read_q_, /*is_write=*/false);
   queue_candidates(write_q_, /*is_write=*/true);
   if (timing_.idle_precharge != 0 && open_banks_ > 0) {
-    if (ready_cache_enabled_ && idle_ready_ != 0) {
-      // Still-valid eligibility bound (bank state unchanged since it was
-      // computed); kNoCycle means "no open bank can become eligible" and
-      // the min is then a no-op.
-      wake = std::min(wake, std::max(now + 1, idle_ready_));
-    } else {
+    // A valid idle_ready_ is the exact eligibility minimum; kNoCycle means
+    // "no open bank can become eligible" and the min is then a no-op.
+    if (!ready_cache_enabled_ || idle_ready_ == 0) {
       Cycle raw_min = kNoCycle;
-      for (const Cycle eligible : idle_eligible_) raw_min = std::min(raw_min, eligible);
+      std::uint32_t min_bank = 0;
+      for (std::uint32_t i = 0; i < idle_eligible_.size(); ++i) {
+        if (idle_eligible_[i] < raw_min) {
+          raw_min = idle_eligible_[i];
+          min_bank = i;
+        }
+      }
       idle_ready_ = raw_min;
-      if (raw_min != kNoCycle) wake = std::min(wake, std::max(now + 1, raw_min));
+      idle_min_bank_ = min_bank;
     }
+    wake = std::min(wake, std::max(now + 1, idle_ready_));
   }
   wake_cache_ = wake;
   return wake;
@@ -259,33 +275,54 @@ void Controller::idle_precharge(Cycle now) {
   // timing_.idle_precharge is 0.
   if (timing_.idle_precharge == 0) return;
   if (open_banks_ == 0) return;
-  // A still-valid eligibility bound (no command has touched bank state since
-  // it was computed) in the future proves this scan would close nothing.
+  // A valid eligibility bound (exact, see idle_ready_) in the future proves
+  // this scan would close nothing.
   if (ready_cache_enabled_ && idle_ready_ != 0 && now < idle_ready_) return;
   // Closed banks sit at kNoCycle in idle_eligible_, so one contiguous pass
   // replaces the open-bank walk over scattered Bank structs; iteration order
   // (and hence which eligible bank closes first) is unchanged.
   Cycle raw_min = kNoCycle;
+  std::uint32_t min_bank = 0;
   const std::size_t n = idle_eligible_.size();
   for (std::uint32_t i = 0; i < n; ++i) {
     const Cycle eligible = idle_eligible_[i];
     if (eligible <= now) {
-      Bank& b = banks_[i];
-      b.open = false;
-      --open_banks_;
-      idle_eligible_[i] = kNoCycle;
-      b.next_act = std::max(b.next_act, now + timing_.rp);
-      ++stats_.precharges;
-      checker_.on_pre(i, now);
+      precharge(i, now);
       note_command();
       return;  // One command per cycle.
     }
-    raw_min = std::min(raw_min, eligible);
+    if (eligible < raw_min) {
+      raw_min = eligible;
+      min_bank = i;
+    }
   }
-  // Failed scan: every open bank's eligibility is a frozen future timestamp,
-  // so the accumulated min doubles as the cache compute_wake reuses — the
-  // idle scan runs once per tick instead of twice.
+  // Failed scan: the accumulated min is the exact bound compute_wake and
+  // later ticks reuse until a bank's eligibility moves it.
   idle_ready_ = raw_min;
+  idle_min_bank_ = min_bank;
+}
+
+void Controller::precharge(std::uint32_t bank, Cycle now) {
+  Bank& b = banks_[bank];
+  b.open = false;
+  open_row_[bank] = kClosedRow;
+  --open_banks_;
+  set_idle_eligible(bank, kNoCycle);
+  b.next_act = std::max(b.next_act, now + timing_.rp);
+  ++stats_.precharges;
+  checker_.on_pre(bank, now);
+}
+
+void Controller::set_idle_eligible(std::uint32_t bank, Cycle eligible) {
+  const Cycle old = idle_eligible_[bank];
+  idle_eligible_[bank] = eligible;
+  if (idle_ready_ == 0) return;  // Unknown already; the next scan rebuilds it.
+  if (eligible < idle_ready_) {
+    idle_ready_ = eligible;
+    idle_min_bank_ = bank;
+  } else if (bank == idle_min_bank_ && eligible > old) {
+    idle_ready_ = 0;  // The minimum moved later; another bank may hold it now.
+  }
 }
 
 bool Controller::try_refresh(Cycle now) {
@@ -297,12 +334,7 @@ bool Controller::try_refresh(Cycle now) {
     if (!b.open) continue;
     any_open = true;
     if (now >= b.next_pre) {
-      b.open = false;
-      --open_banks_;
-      idle_eligible_[i] = kNoCycle;
-      b.next_act = std::max(b.next_act, now + timing_.rp);
-      ++stats_.precharges;
-      checker_.on_pre(i, now);
+      precharge(i, now);
       note_command();
       return true;  // One command per cycle.
     }
@@ -322,10 +354,11 @@ bool Controller::try_refresh(Cycle now) {
   return true;
 }
 
-void Controller::issue_cas(Request& req, bool is_write, Cycle now) {
+void Controller::issue_cas(const Request& req, const ScanKey& key, bool is_write,
+                           Cycle now) {
   const Geometry& g = amap_.geometry();
-  Bank& b = banks_[req.flat_bank];
-  bank_last_use_[req.flat_bank] = now;
+  Bank& b = banks_[key.bank];
+  bank_last_use_[key.bank] = now;
   checker_.on_cas(req.coord, is_write, now);
 
   // Row-locality classification at service time: a request that needed no
@@ -341,17 +374,16 @@ void Controller::issue_cas(Request& req, bool is_write, Cycle now) {
     ++stats_.row_hits;
   }
 
-  next_cas_rank_[req.coord.rank] = now + timing_.ccd_s;
-  const std::size_t rg0 = req.rg;
-  next_cas_group_[rg0] = now + timing_.ccd_l;
+  next_cas_rank_[key.rank] = now + timing_.ccd_s;
+  next_cas_group_[key.rg] = now + timing_.ccd_l;
   stats_.data_bus_busy_cycles += timing_.bl;
   last_cas_end_ = now + timing_.bl;
-  last_cas_rank_ = req.coord.rank;
+  last_cas_rank_ = key.rank;
 
   if (is_write) {
     const Cycle data_end = now + timing_.cwl + timing_.bl;
     b.next_pre = std::max(b.next_pre, data_end + timing_.wr);
-    idle_eligible_[req.flat_bank] = std::max(b.next_pre, now + timing_.idle_precharge);
+    set_idle_eligible(key.bank, std::max(b.next_pre, now + timing_.idle_precharge));
     // tWTR starts at the end of write data (within the written rank).
     for (std::uint32_t grp = 0; grp < g.bank_groups; ++grp) {
       const Cycle wtr = (grp == req.coord.bank_group) ? timing_.wtr_l : timing_.wtr_s;
@@ -362,7 +394,7 @@ void Controller::issue_cas(Request& req, bool is_write, Cycle now) {
     ++stats_.writes_done;
   } else {
     b.next_pre = std::max(b.next_pre, now + timing_.rtp);
-    idle_eligible_[req.flat_bank] = std::max(b.next_pre, now + timing_.idle_precharge);
+    set_idle_eligible(key.bank, std::max(b.next_pre, now + timing_.idle_precharge));
     next_wr_bus_ = std::max(next_wr_bus_, now + timing_.rtw);
     const Cycle done = now + timing_.cl + timing_.bl;
     const Cycle total = done - req.arrival;
@@ -375,43 +407,42 @@ void Controller::issue_cas(Request& req, bool is_write, Cycle now) {
   }
 }
 
-void Controller::commit_prep(Request& req, Cycle now) {
-  // Caller established legality via prep_earliest(req) <= now (and no
+void Controller::commit_prep(Request& req, const ScanKey& key, Cycle now) {
+  // Caller established legality via prep_earliest(key) <= now (and no
   // pending refresh); this is the mutating tail only.
-  Bank& b = banks_[req.flat_bank];
-
-  if (b.open) {  // Wrong row (right-row banks never reach commit_prep).
-    b.open = false;
-    --open_banks_;
-    idle_eligible_[req.flat_bank] = kNoCycle;
-    b.next_act = std::max(b.next_act, now + timing_.rp);
-    ++stats_.precharges;
-    checker_.on_pre(req.flat_bank, now);
+  if (open_row_[key.bank] != kClosedRow) {  // Wrong row (right-row banks never get here).
+    precharge(key.bank, now);
     req.needed_pre = true;
     return;
   }
-  const std::size_t rg = req.rg;
-  FawWindow& faw = faw_[req.coord.rank];
+  Bank& b = banks_[key.bank];
+  FawWindow& faw = faw_[key.rank];
   faw.acts[faw.pos] = now;
   faw.pos = (faw.pos + 1) % 4;
+  // The rank's next ACT waits tRRD_S and, once four ACTs are on record, for
+  // the oldest of them to leave the tFAW window (slot 0 = "never used").
+  // Both are frozen until the rank's next ACT, so they fold into one bound.
+  const Cycle oldest = faw.acts[faw.pos];
+  next_act_rank_[key.rank] =
+      std::max(now + timing_.rrd_s, oldest != 0 ? oldest + timing_.faw : 0);
 
   b.open = true;
   ++open_banks_;
-  b.row = req.coord.row;
+  b.row = key.row;
+  open_row_[key.bank] = key.row;
   b.next_rd = now + timing_.rcd;
   b.next_wr = now + timing_.rcd;
   b.next_pre = std::max(b.next_pre, now + timing_.ras);
-  idle_eligible_[req.flat_bank] =
-      std::max(b.next_pre, bank_last_use_[req.flat_bank] + timing_.idle_precharge);
+  set_idle_eligible(key.bank, std::max(b.next_pre,
+                                       bank_last_use_[key.bank] + timing_.idle_precharge));
   b.next_act = now + timing_.rc();
-  next_act_rank_[req.coord.rank] = now + timing_.rrd_s;
-  next_act_group_[rg] = now + timing_.rrd_l;
+  next_act_group_[key.rg] = now + timing_.rrd_l;
   ++stats_.activates;
   checker_.on_act(req.coord, now);
   req.needed_act = true;
 }
 
-bool Controller::try_issue(std::vector<Request>& queue, bool is_write, Cycle now) {
+bool Controller::try_issue(Queue& queue, bool is_write, Cycle now) {
   if (queue.empty()) {
     // Mirror what a scan of the empty window would conclude, so
     // compute_wake's cached reuse sees the same bound a cold scan stores.
@@ -428,64 +459,95 @@ bool Controller::try_issue(std::vector<Request>& queue, bool is_write, Cycle now
   }
   COAXIAL_PROF_SCOPE(kDramTryIssue);
   const std::size_t window = std::min(queue.size(), kScanWindow);
-  // The scan accumulates the queue's earliest-possible next command as it
-  // decides; a failed scan therefore leaves a fresh per-queue bound behind
-  // for free, and compute_wake never has to rescan the window.
+  // One pass over the window's scan keys (bank state is frozen during the
+  // scan) decides FR-FCFS: the oldest row hit whose CAS can issue now wins
+  // outright; failing that, the oldest request whose preparatory ACT/PRE can
+  // issue now. The scan also accumulates the queue's earliest possible next
+  // command (meaningful only if nothing issues, when every candidate lies
+  // in the future), so a failed scan leaves a fresh per-queue bound behind
+  // and compute_wake never has to rescan the window. ACTs and PREs for new
+  // rows are suppressed while a refresh is pending, and so are their wake
+  // candidates.
+  const bool preps = !refresh_pending_;
   Cycle q_ready = kNoCycle;
-
-  // Pass 1 (FR): oldest row-hit whose CAS can issue right now. A CAS needs
-  // an open row, so with every bank closed the scan cannot find one. The
-  // per-candidate row-hit verdicts are carried into pass 2 as a bitmask
-  // (window <= 16, and no command lands between the passes, so bank state —
-  // and with it every verdict — is frozen): pass 2 then skips its own bank
-  // loads. Zero-initialised, the mask is also right when pass 1 is skipped
-  // outright: no open bank means no row hit anywhere.
-  std::uint32_t hit_mask = 0;
-  static_assert(kScanWindow <= 32, "row-hit mask is a uint32_t");
-  if (open_banks_ > 0) {
-    for (std::size_t i = 0; i < window; ++i) {
-      const Request& cand = queue[i];
-      if (!banks_[cand.flat_bank].row_hit(cand.coord.row)) {
-        continue;
-      }
-      hit_mask |= 1u << i;
-      const Cycle t = cas_earliest(cand, is_write);
+  std::size_t prep = kScanWindow;  // Oldest ready prep candidate, if any.
+  for (std::size_t i = 0; i < window; ++i) {
+    const ScanKey key = queue.keys[i];
+    const std::uint32_t open_row = open_row_[key.bank];
+    if (open_row == key.row) {
+      const Cycle t = cas_earliest(key, is_write);
       if (t <= now) {
-        Request req = cand;
-        issue_cas(req, is_write, now);
-        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
-        if (is_write) {
-          auto it = write_lines_.find(req.local_line);
-          if (it != write_lines_.end() && --it->second == 0) write_lines_.erase(it);
-        }
+        issue_cas(queue.reqs[i], key, is_write, now);
+        queue.erase(i);
         note_command();
         return true;
       }
       q_ready = std::min(q_ready, t);
-    }
-  }
-
-  // Pass 2 (FCFS): oldest request that needs a preparatory ACT/PRE. ACTs
-  // and PREs for new rows are suppressed while a refresh is pending, and
-  // (mirroring that) pending refresh also drops their wake candidates.
-  // With a refresh pending the loop body is all `continue`s (prep wake
-  // candidates are dropped too, mirroring the suppressed commands).
-  if (!refresh_pending_) {
-    for (std::size_t i = 0; i < window; ++i) {
-      Request& req = queue[i];
-      if (hit_mask & (1u << i)) continue;  // Just waiting on CAS timing.
-      const Cycle t = prep_earliest(req);
-      if (t <= now) {
-        commit_prep(req, now);
-        note_command();
-        return true;
-      }
+    } else if (preps) {
+      const Cycle t = prep_earliest(key, open_row);
+      prep = (prep == kScanWindow && t <= now) ? i : prep;
       q_ready = std::min(q_ready, t);
     }
   }
-
+  if (prep != kScanWindow) {
+    commit_prep(queue.reqs[prep], queue.keys[prep], now);
+    note_command();
+    return true;
+  }
   queue_ready_[qi] = q_ready;
   return false;
+}
+
+std::string Controller::check_mirrors() const {
+  std::uint32_t open = 0;
+  for (std::size_t i = 0; i < banks_.size(); ++i) {
+    const std::uint32_t want = banks_[i].open ? banks_[i].row : kClosedRow;
+    if (open_row_[i] != want) {
+      return "open_row_[" + std::to_string(i) + "] = " + std::to_string(open_row_[i]) +
+             ", bank says " + std::to_string(want);
+    }
+    if (banks_[i].open) ++open;
+  }
+  if (open != open_banks_) {
+    return "open_banks_ = " + std::to_string(open_banks_) + ", banks say " +
+           std::to_string(open);
+  }
+  if (idle_ready_ != 0) {
+    const Cycle fresh = *std::min_element(idle_eligible_.begin(), idle_eligible_.end());
+    if (idle_ready_ != fresh) {
+      return "idle bound " + std::to_string(idle_ready_) + ", fresh minimum " +
+             std::to_string(fresh);
+    }
+    if (fresh != kNoCycle && idle_eligible_[idle_min_bank_] != fresh) {
+      return "idle bound held by bank " + std::to_string(idle_min_bank_) +
+             ", whose eligibility is " + std::to_string(idle_eligible_[idle_min_bank_]);
+    }
+  }
+  const Geometry& g = amap_.geometry();
+  for (const Queue* q : {&read_q_, &write_q_}) {
+    const char* name = q == &read_q_ ? "read" : "write";
+    if (q->keys.size() != q->reqs.size() || q->lines.size() != q->reqs.size()) {
+      return std::string(name) + " queue holds " + std::to_string(q->reqs.size()) +
+             " requests, " + std::to_string(q->keys.size()) + " keys and " +
+             std::to_string(q->lines.size()) + " lines";
+    }
+    for (std::size_t i = 0; i < q->reqs.size(); ++i) {
+      const Coord& c = q->reqs[i].coord;
+      const ScanKey& k = q->keys[i];
+      if (k.row != c.row || k.bank != c.flat_bank_all(g) || k.rank != c.rank ||
+          k.rg != c.rank * g.bank_groups + c.bank_group) {
+        return std::string(name) + " queue key " + std::to_string(i) +
+               " does not match its request";
+      }
+      const Coord m = amap_.map(q->lines[i]);
+      if (m.row != c.row || m.column != c.column || m.rank != c.rank ||
+          m.bank_group != c.bank_group || m.bank != c.bank) {
+        return std::string(name) + " queue line " + std::to_string(i) +
+               " does not map to its request";
+      }
+    }
+  }
+  return "";
 }
 
 }  // namespace coaxial::dram

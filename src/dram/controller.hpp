@@ -11,7 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -58,7 +58,9 @@ class Controller {
  public:
   /// `scope`, when valid, registers this controller's counters, read-latency
   /// histogram, and timing-invariant violation counters into the metrics
-  /// registry at construction.
+  /// registry at construction. Throws std::invalid_argument when the
+  /// geometry's flat bank count exceeds 2^16 or its rank x bank-group count
+  /// exceeds 2^8 (the widths of the scheduler's packed scan keys).
   Controller(const Timing& timing, const Geometry& geometry,
              std::size_t read_queue_depth = 64, std::size_t write_queue_depth = 64,
              obs::Scope scope = {});
@@ -108,33 +110,78 @@ class Controller {
     idle_ready_ = 0;
   }
 
+  /// Test hook: cross-check the scan-side mirrors against the state they
+  /// shadow — open_row_ against banks_, a valid idle bound against a fresh
+  /// minimum over idle_eligible_, and every queued scan key and line against
+  /// its request. Both ready-cache modes share these mirrors, so the
+  /// brute-force reference cannot catch a stale one. Returns "" when all
+  /// agree, else a description of the first mismatch.
+  std::string check_mirrors() const;
+
  private:
   struct Request {
     Coord coord;
     Cycle arrival = 0;
     std::uint64_t token = 0;
-    Addr local_line = 0;
-    std::uint32_t flat_bank = 0;  ///< coord.flat_bank_all(), cached at enqueue.
-    std::uint32_t rg = 0;         ///< rank * bank_groups + bank_group, ditto.
     bool needed_act = false;  ///< An ACT was issued on this request's behalf.
     bool needed_pre = false;  ///< A PRE was issued on this request's behalf.
   };
+  /// What the FR-FCFS window scan reads of a queued request, packed into 8
+  /// bytes so a 16-entry window spans two host cache lines. The constructor
+  /// rejects geometries whose indices do not fit these fields.
+  struct ScanKey {
+    std::uint32_t row = 0;
+    std::uint16_t bank = 0;  ///< coord.flat_bank_all().
+    std::uint8_t rank = 0;
+    std::uint8_t rg = 0;  ///< rank * bank_groups + bank_group.
+  };
+  static_assert(sizeof(ScanKey) == 8, "a scan key is one 8-byte word");
+  /// One request queue: requests in arrival order, with their scan keys and
+  /// line addresses in parallel arrays pushed and erased together with them.
+  /// The write queue's line array serves write-to-read forwarding as a
+  /// contiguous scan.
+  struct Queue {
+    std::vector<Request> reqs;
+    std::vector<ScanKey> keys;
+    std::vector<Addr> lines;
+    std::size_t size() const { return reqs.size(); }
+    bool empty() const { return reqs.empty(); }
+    void reserve(std::size_t n) {
+      reqs.reserve(n);
+      keys.reserve(n);
+      lines.reserve(n);
+    }
+    void erase(std::size_t i) {
+      reqs.erase(reqs.begin() + static_cast<std::ptrdiff_t>(i));
+      keys.erase(keys.begin() + static_cast<std::ptrdiff_t>(i));
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+  };
+
+  /// open_row_ value of a closed bank (rows are < Geometry::rows <= 2^32-1).
+  static constexpr std::uint32_t kClosedRow = ~std::uint32_t{0};
 
   // Scheduling helpers. Each returns true if a command was issued.
   bool try_refresh(Cycle now);
-  bool try_issue(std::vector<Request>& queue, bool is_write, Cycle now);
-  void issue_cas(Request& req, bool is_write, Cycle now);
-  void commit_prep(Request& req, Cycle now);
+  bool try_issue(Queue& queue, bool is_write, Cycle now);
+  void issue_cas(const Request& req, const ScanKey& key, bool is_write, Cycle now);
+  void commit_prep(Request& req, const ScanKey& key, Cycle now);
   void idle_precharge(Cycle now);
+  /// PRE `bank` (its legality already checked): the one place a bank closes.
+  void precharge(std::uint32_t bank, Cycle now);
+  /// Write idle_eligible_[bank], keeping idle_ready_ exact (see there).
+  void set_idle_eligible(std::uint32_t bank, Cycle eligible);
 
   // Earliest legal cycles for a candidate's next command, as a raw max over
   // frozen constraint timestamps (no now+1 floor). One computation serves
   // both the issue decision (earliest <= now) and, on a failed scan, the
   // wake bound (earliest > now, so the floor would be a no-op anyway) —
   // keeping the two paths bit-identical by construction instead of by
-  // maintaining hand-written bool/cycle mirrors.
-  Cycle cas_earliest(const Request& req, bool is_write) const;
-  Cycle prep_earliest(const Request& req) const;
+  // maintaining hand-written bool/cycle mirrors. prep_earliest is for a
+  // candidate whose bank is not open on its row; `open_row` is the bank's
+  // open_row_ entry.
+  Cycle cas_earliest(const ScanKey& key, bool is_write) const;
+  Cycle prep_earliest(const ScanKey& key, std::uint32_t open_row) const;
 
   // Wake-cycle lower bound for the event-driven loop: when could the
   // command that tick() just declined become issueable?
@@ -144,8 +191,14 @@ class Controller {
   AddressMap amap_;
   std::size_t read_depth_;
   std::size_t write_depth_;
+  bool multi_rank_;  ///< Rank switches pay tCS.
 
   std::vector<Bank> banks_;
+  // Row-buffer mirror of banks_: the open row, or kClosedRow. The scan's
+  // row-hit test reads one 4-byte entry instead of a 40-byte Bank; written
+  // at the two sites that open or close a bank (commit_prep's ACT and
+  // precharge(), which serves PRE, idle precharge and refresh).
+  std::vector<std::uint32_t> open_row_;
   std::vector<Cycle> bank_last_use_;  ///< For idle-bank precharge.
   // Exact per-bank idle-precharge eligibility, mirrored incrementally:
   // max(next_pre, last_use + tIdle) while the bank is open, kNoCycle when
@@ -154,12 +207,12 @@ class Controller {
   // scans from a walk over scattered Bank structs into a contiguous min
   // scan. Not a cache: always exact, so both ready-cache modes share it.
   std::vector<Cycle> idle_eligible_;
-  std::vector<Request> read_q_;
-  std::vector<Request> write_q_;
+  Queue read_q_;
+  Queue write_q_;
   std::vector<Completion> completions_;
 
   // Rank-level constraint state (indexed by rank, or rank*groups+group).
-  std::vector<Cycle> next_act_rank_;          ///< tRRD_S from any ACT, per rank.
+  std::vector<Cycle> next_act_rank_;          ///< tRRD_S and tFAW, per rank.
   std::vector<Cycle> next_act_group_;         ///< tRRD_L within a group.
   std::vector<Cycle> next_cas_rank_;          ///< tCCD_S from any CAS, per rank.
   std::vector<Cycle> next_cas_group_;         ///< tCCD_L within a group.
@@ -178,8 +231,8 @@ class Controller {
   std::uint32_t open_banks_ = 0;  ///< Fast gate for idle-precharge scans.
 
   // Per-queue next-ready cache ([0]=read, [1]=write). When a tick's scan of
-  // a queue issues nothing, compute_wake records the earliest cycle any
-  // window candidate could become issueable; until then — and as long as no
+  // a queue issues nothing, it records the earliest cycle any window
+  // candidate could become issueable; until then — and as long as no
   // command issues and nothing is enqueued (every such event clears the
   // cache via note_command/enqueue) — try_issue skips its O(window) rescan.
   // 0 means "unknown, must scan". Scheduling decisions are unchanged: the
@@ -194,21 +247,19 @@ class Controller {
   // timestamp, unaffected by the now+1 floor), so tick() returns it
   // directly. 0 means "invalid, run the full tick".
   mutable Cycle wake_cache_ = 0;
-  // Earliest cycle any open bank becomes idle-precharge eligible (raw min
-  // over frozen per-bank state), or kNoCycle when no bank can. Valid until
-  // a command changes bank state; enqueues don't affect it. Lets
-  // idle_precharge() skip its all-banks scan.
+  // Exact min over idle_eligible_ (kNoCycle when no bank is open), held by
+  // bank idle_min_bank_, or 0 when unknown. Commands leave it valid:
+  // set_idle_eligible lowers it when a bank drops below it and drops it to
+  // unknown only when the bank holding it moves later, so the next scan
+  // (idle_precharge or compute_wake) recomputes it. Lets idle_precharge()
+  // skip its all-banks scan.
   mutable Cycle idle_ready_ = 0;
+  mutable std::uint32_t idle_min_bank_ = 0;
   bool ready_cache_enabled_ = true;
   void note_command() {
     queue_ready_[0] = queue_ready_[1] = 0;
     wake_cache_ = 0;
-    idle_ready_ = 0;
   }
-
-  /// Lines with a queued write, for O(1) write-to-read forwarding checks
-  /// (count, since the queue may briefly hold two writes to one line).
-  std::unordered_map<Addr, std::uint32_t> write_lines_;
 
   // Refresh state.
   Cycle next_refresh_ = 0;

@@ -136,6 +136,8 @@ PooledMemory::PooledMemory(const PoolConfig& cfg, obs::Scope scope)
   free_slots_.resize(n_hosts_);
   pending_rx_.resize(n_hosts_);
   pending_rx_priv_.resize(n_hosts_);
+  pending_rx_ready_.assign(n_hosts_, kNoCycle);
+  pending_rx_priv_ready_.assign(n_hosts_, kNoCycle);
   out_.resize(n_hosts_);
   inflight_reads_.assign(n_hosts_, 0);
   host_invals_.resize(n_hosts_);
@@ -654,6 +656,7 @@ Cycle PooledMemory::pool_tick(Cycle now) {
       pending_rx_[h].push_back(
           {comp.done, dev, static_cast<std::uint32_t>(comp.token & 0xffffffffu),
            (comp.token >> 63) != 0});
+      pending_rx_ready_[h] = std::min(pending_rx_ready_[h], comp.done);
     }
     done.clear();
   }
@@ -672,6 +675,12 @@ Cycle PooledMemory::pool_tick(Cycle now) {
 }
 
 Cycle PooledMemory::ship_shared_responses(std::uint32_t host, Cycle now) {
+  // Nothing parked is ready (and no device is dead, whose responses bounce
+  // whether ready or not): the pass below would keep every entry in place
+  // and return exactly the earliest ready cycle.
+  if (!force_tick_ && !dead_ && pending_rx_ready_[host] > now) {
+    return pending_rx_ready_[host];
+  }
   Cycle wake = kNoCycle;
   fabric::Fabric& fab = *fab_[host];
   auto& pending = pending_rx_[host];
@@ -710,11 +719,20 @@ Cycle PooledMemory::ship_shared_responses(std::uint32_t host, Cycle now) {
     }
   }
   pending.resize(kept);
+  pending_rx_ready_[host] = park_wake(fab, pending, now, wake);
+  return wake;
+}
+
+Cycle PooledMemory::park_wake(const fabric::Fabric& fab,
+                              const std::vector<PendingResponse>& pending,
+                              Cycle now, Cycle& wake) {
+  Cycle ready = kNoCycle;
   for (const PendingResponse& p : pending) {
+    ready = std::min(ready, p.ready);
     const Cycle at = p.ready > now ? p.ready : fab.rx_credit_cycle(p.device, now);
     wake = std::min(wake, std::max(at, now + 1));
   }
-  return wake;
+  return ready;
 }
 
 Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
@@ -772,12 +790,18 @@ Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
           {comp.done, fab_dev,
            static_cast<std::uint32_t>(comp.token & 0xffffffffu),
            (comp.token >> 63) != 0});
+      pending_rx_priv_ready_[host] =
+          std::min(pending_rx_priv_ready_[host], comp.done);
     }
     done.clear();
   }
 
   // -- Phase F (private half): ship responses; private devices never die. -
-  {
+  // While nothing parked is ready the pass would keep every entry in place
+  // and yield exactly the earliest ready cycle.
+  if (!force_tick_ && pending_rx_priv_ready_[host] > now) {
+    wake = std::min(wake, pending_rx_priv_ready_[host]);
+  } else {
     auto& pending = pending_rx_priv_[host];
     std::size_t kept = 0;
     for (std::size_t i = 0; i < pending.size(); ++i) {
@@ -801,10 +825,7 @@ Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
       }
     }
     pending.resize(kept);
-    for (const PendingResponse& p : pending) {
-      const Cycle at = p.ready > now ? p.ready : fab.rx_credit_cycle(p.device, now);
-      wake = std::min(wake, std::max(at, now + 1));
-    }
+    pending_rx_priv_ready_[host] = park_wake(fab, pending, now, wake);
   }
 
   // -- Phase G: ack delivered invalidations on the request path. ----------

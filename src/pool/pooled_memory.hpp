@@ -303,6 +303,11 @@ class PooledMemory {
   /// Phase F, shared half: ship pooled-device responses up `host`'s return
   /// path (direct: into the completion mailbox).
   Cycle ship_shared_responses(std::uint32_t host, Cycle now);
+  /// Wake bound of the responses still parked after a shipping pass, folded
+  /// into `wake`; returns their earliest ready cycle.
+  static Cycle park_wake(const fabric::Fabric& fab,
+                         const std::vector<PendingResponse>& pending, Cycle now,
+                         Cycle& wake);
 
   // ---- device failure: surprise removal of a shared device (§13) ----
   /// Onset sweep + recovery-wave pump; returns a wake bound (fail_at
@@ -363,6 +368,12 @@ class PooledMemory {
   std::vector<std::vector<std::uint32_t>> free_slots_;  ///< [host].
   std::vector<std::vector<PendingResponse>> pending_rx_;      ///< Shared class.
   std::vector<std::vector<PendingResponse>> pending_rx_priv_; ///< Private class.
+  // Earliest `ready` in each host's pending_rx_ / pending_rx_priv_
+  // (kNoCycle when empty): while it lies in the future the response pass
+  // is skipped (unless ticking is forced), its wake contribution being
+  // exactly this cycle.
+  std::vector<Cycle> pending_rx_ready_;
+  std::vector<Cycle> pending_rx_priv_ready_;
   std::vector<std::vector<HostCompletion>> out_;
   std::vector<std::uint64_t> inflight_reads_;  ///< Per host (owner-written).
 

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 
@@ -291,6 +292,34 @@ TEST(DramController, ActivatesMatchRowMissesPlusConflicts) {
   EXPECT_GT(c.stats().activates, 0u);
   EXPECT_LE(c.stats().activates,
             c.stats().row_misses + c.stats().row_conflicts + c.stats().refreshes + 64);
+}
+
+// The scheduler packs each queued request's bank into 16 bits and its
+// rank x bank-group index into 8; geometries past either width are refused
+// up front rather than silently aliasing banks.
+TEST(DramController, RejectsMoreBanksThanTheScanKeyHolds) {
+  Geometry g;
+  g.banks_per_group = 4096;  // 8 x 4096 = 32768 banks per rank.
+  g.ranks = 4;               // 131072 banks in all.
+  EXPECT_THROW(Controller(Timing{}, g), std::invalid_argument);
+  g.ranks = 2;  // Exactly 65536 banks: the widest geometry that fits.
+  EXPECT_NO_THROW(Controller(Timing{}, g));
+}
+
+TEST(DramController, RejectsMoreRankGroupsThanTheScanKeyHolds) {
+  Geometry g;
+  g.bank_groups = 128;
+  g.banks_per_group = 1;
+  g.ranks = 4;  // 512 rank x bank-group pairs.
+  EXPECT_THROW(Controller(Timing{}, g), std::invalid_argument);
+  g.ranks = 2;  // Exactly 256: fits, and the top pair must be schedulable.
+  Controller c(Timing{}, g);
+  // Rank 1, bank group 127: flat bank 255, rank-group index 255.
+  const Addr line = static_cast<Addr>(g.columns) * (g.banks() + g.banks() - 1);
+  ASSERT_TRUE(c.enqueue(line, false, 1, 9));
+  EXPECT_NE(run_until_done(c, 9, 1, 1000), kNoCycle);
+  EXPECT_EQ(c.check_mirrors(), "");
+  EXPECT_EQ(c.timing_checker().violations(), 0u);
 }
 
 }  // namespace

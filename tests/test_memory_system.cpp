@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "link/lane_config.hpp"
@@ -214,6 +215,71 @@ TEST(CxlMemory, BreakdownSumsAreConsistent) {
   // Completion ordering slack: parts computed at RX-send time vs completion
   // at arrival; allow small tolerance plus forwarded reads.
   EXPECT_NEAR(parts, total_latency, total_latency * 0.1 + 50);
+}
+
+/// One read-heavy request stream through a device whose x4 return link is
+/// slower than its DRAM, so responses park while the link is out of credit.
+/// Driven event-style (tick only after an access or at the published wake)
+/// or with forced ticking on every cycle; records every completion.
+struct ParkedRun {
+  std::vector<MemCompletion> completions;
+  std::uint64_t ticks = 0;
+  std::uint64_t rx_blocked_ticks = 0;  ///< Ticks that left the return link without credit.
+};
+
+ParkedRun run_parked_stream(bool force_tick) {
+  CxlMemory m(1, 1, link::LaneConfig::x4());
+  m.set_force_tick(force_tick);
+  Rng rng(23);
+  ParkedRun run;
+  constexpr std::uint64_t kAccesses = 3000;
+  std::uint64_t issued = 0, reads = 0;
+  Cycle wake = 0;
+  for (Cycle now = 1; now < 2'000'000; ++now) {
+    if (issued == kAccesses && run.completions.size() == reads) break;
+    bool accessed = false;
+    // The stream draws every cycle, so both drivers see the same requests
+    // as long as the memory accepts them at the same cycles.
+    if (issued < kAccesses && rng.chance(0.4)) {
+      const Addr line = rng.next_below(1 << 20);
+      const bool is_write = rng.chance(0.1);
+      if (m.can_accept(line, is_write, now)) {
+        m.access(line, is_write, now, is_write ? 0 : ++reads);
+        ++issued;
+        accessed = true;
+      }
+    }
+    if (!force_tick && !accessed && now < wake) continue;
+    wake = m.tick(now);
+    ++run.ticks;
+    if (!m.channel_link(0).can_send_rx(now)) ++run.rx_blocked_ticks;
+    for (const MemCompletion& c : m.completions()) run.completions.push_back(c);
+    m.completions().clear();
+  }
+  EXPECT_EQ(issued, kAccesses);
+  EXPECT_EQ(run.completions.size(), reads) << "reads starved";
+  return run;
+}
+
+TEST(CxlMemory, ParkedResponseBoundMatchesForcedTicking) {
+  // The event-driven pump skips a device's response pass while none of its
+  // parked responses is ready; forced ticking runs the pass every cycle.
+  const ParkedRun event = run_parked_stream(false);
+  const ParkedRun forced = run_parked_stream(true);
+  EXPECT_GT(event.rx_blocked_ticks, 0u) << "return link never ran out of credit";
+  EXPECT_LT(event.ticks, forced.ticks) << "event-driven run skipped nothing";
+  ASSERT_EQ(event.completions.size(), forced.completions.size());
+  for (std::size_t i = 0; i < event.completions.size(); ++i) {
+    const MemCompletion& a = event.completions[i];
+    const MemCompletion& b = forced.completions[i];
+    ASSERT_EQ(a.token, b.token) << "completion " << i;
+    EXPECT_EQ(a.done, b.done) << "token " << a.token;
+    EXPECT_EQ(a.dram_service, b.dram_service) << "token " << a.token;
+    EXPECT_EQ(a.dram_queue, b.dram_queue) << "token " << a.token;
+    EXPECT_EQ(a.cxl_interface, b.cxl_interface) << "token " << a.token;
+    EXPECT_EQ(a.cxl_queue, b.cxl_queue) << "token " << a.token;
+    EXPECT_EQ(a.poisoned, b.poisoned) << "token " << a.token;
+  }
 }
 
 TEST(MemorySnapshot, AchievedGbps) {

@@ -8,6 +8,11 @@
 // bit-identical behaviour: the same wake bounds from every tick, the same
 // completion stream (token, cycle, latency decomposition), the same command
 // counts, and a silent shadow timing checker on both.
+//
+// Both modes share the scheduler's mirrors (open-row array, packed scan
+// keys, incremental idle-precharge bound), so the pair cannot catch a stale
+// one; Controller::check_mirrors audits them against the state they shadow
+// after every tick instead.
 #include <random>
 #include <vector>
 
@@ -59,6 +64,8 @@ void drive_pair(Controller& fast, Controller& slow, const StreamParams& p) {
     const Cycle wf = fast.tick(now);
     const Cycle ws = slow.tick(now);
     ASSERT_EQ(wf, ws) << "wake bound diverged at cycle " << now;
+    ASSERT_EQ(fast.check_mirrors(), "") << "cycle " << now;
+    ASSERT_EQ(slow.check_mirrors(), "") << "cycle " << now;
     wake = wf;
     auto& cf = fast.completions();
     auto& cs = slow.completions();
@@ -93,9 +100,9 @@ void expect_same_stats(const Controller& fast, const Controller& slow) {
   EXPECT_EQ(slow.timing_checker().violations(), 0u);
 }
 
-void run_case(const StreamParams& p) {
-  const Timing timing;      // DDR5-4800 defaults.
-  const Geometry geometry;  // 8 groups x 4 banks.
+/// Default geometry: 8 groups x 4 banks, one rank, permuted bank index.
+void run_case(const StreamParams& p, const Geometry& geometry = {}) {
+  const Timing timing;  // DDR5-4800 defaults.
   Controller fast(timing, geometry);
   Controller slow(timing, geometry);
   slow.set_ready_cache(false);
@@ -147,6 +154,57 @@ TEST(PerfInvariants, ReadyCacheMatchesRescanLightTraffic) {
   p.enqueue_prob = 0.02;
   p.cycles = 60000;
   run_case(p);
+}
+
+Geometry two_ranks() {
+  Geometry g;
+  g.ranks = 2;
+  return g;
+}
+
+Geometry unpermuted() {
+  Geometry g;
+  g.permutation_interleave = false;
+  return g;
+}
+
+TEST(PerfInvariants, TwoRanksMatchRescanOnRandomStreams) {
+  // 2DPC: rank switches pay tCS and each rank keeps its own tFAW window,
+  // both read through the scan key's rank and rank-group fields. The load
+  // stays below capacity so reads are not starved by a permanent write
+  // drain and CAS streams keep switching ranks.
+  for (std::uint64_t seed : {5ull, 77ull}) {
+    StreamParams p;
+    p.seed = seed;
+    p.enqueue_prob = 0.08;
+    run_case(p, two_ranks());
+  }
+}
+
+TEST(PerfInvariants, TwoRanksMatchRescanUnderHighLoadSparseTicks) {
+  StreamParams p;
+  p.seed = 13;
+  p.enqueue_prob = 0.95;
+  p.addr_space = 1 << 13;
+  p.sparse = true;
+  run_case(p, two_ranks());
+}
+
+TEST(PerfInvariants, UnpermutedMatchesRescanOnRandomStreams) {
+  // Without the XOR fold, strided streams pile onto one bank: long row
+  // conflict chains on the same open-row entry.
+  StreamParams p;
+  p.seed = 31;
+  run_case(p, unpermuted());
+}
+
+TEST(PerfInvariants, UnpermutedMatchesRescanUnderHighLoad) {
+  StreamParams p;
+  p.seed = 8;
+  p.enqueue_prob = 0.95;
+  p.addr_space = 1 << 12;
+  p.write_frac = 0.5;
+  run_case(p, unpermuted());
 }
 
 }  // namespace
