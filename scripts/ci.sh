@@ -7,7 +7,8 @@
 # tier/*, pool/* and ras/avail/* stats must agree exactly across two
 # runs), smoke the sanitizer build (-DCOAXIAL_SANITIZE=ON) on the
 # invariant + golden + fabric + ras + perf + svc + tier + pool + avail +
-# dram ctest labels, and run the sched label (sharded quantum engine, DESIGN.md
+# dram ctest labels (perf carries the single-host event wheel, the flat
+# MSHR table and the event == lockstep runs), and run the sched label (sharded quantum engine, DESIGN.md
 # §14) under TSan (-DCOAXIAL_SANITIZE=thread) to prove the quantum
 # barriers race-free.
 # Host performance is measured by bench_perf (BENCHMARK.json,
@@ -93,7 +94,10 @@ cmake --build "${SAN_DIR}" -j "${JOBS}"
 # multi-host pooling/coherence, device-failure lifecycle) end to end under
 # the sanitizers without rerunning all 600+ tests. The dram label adds the
 # controller's own suites: its packed scan keys and parallel queue arrays
-# are where out-of-bounds and truncation bugs would hide.
+# are where out-of-bounds and truncation bugs would hide. The perf label
+# adds the index-linked structures of the single-host payload path: the
+# event wheel's node pool and bucket lists (test_event_queue), the flat
+# MSHR table (test_mshr) and event == lockstep System runs (test_scheduler).
 ctest --test-dir "${SAN_DIR}" --output-on-failure -j "${JOBS}" -L "invariant|golden|fabric|ras|perf|svc|tier|pool|avail|dram"
 
 echo "=== thread-sanitizer build (TSan, sched label) ==="

@@ -52,6 +52,9 @@ class Mesh {
 
   Cycle per_hop() const { return per_hop_; }
 
+  /// Latency between the two farthest tiles.
+  Cycle diameter() const { return per_hop_ * (cols_ - 1 + rows_ - 1); }
+
  private:
   std::vector<std::uint32_t> edge_tiles() const {
     std::vector<std::uint32_t> e;
