@@ -47,6 +47,17 @@ class Cache {
   /// Tag probe without state update (used by the CALM oracle predictor).
   bool probe(Addr line) const;
 
+  /// Ask the host CPU to start loading the set `line` maps to, ahead of a
+  /// fill or lookup of it. A hint only: no cache state changes.
+  void prefetch(Addr line) const {
+    const std::size_t base = static_cast<std::size_t>(set_index(line)) * ways_;
+    __builtin_prefetch(&tags_[base]);
+    __builtin_prefetch(&tags_[base + ways_ - 1]);
+    __builtin_prefetch(&repl_[base]);
+    __builtin_prefetch(&repl_[base + ways_ - 1]);
+    __builtin_prefetch(&flags_[base]);
+  }
+
   /// Lookup for a read; updates recency on hit.
   bool lookup(Addr line);
 
