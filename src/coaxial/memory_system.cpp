@@ -50,7 +50,7 @@ void register_aggregate_probes(const obs::Scope& scope, const MemorySystem& mem)
 
 DirectDdrMemory::DirectDdrMemory(std::uint32_t channels, const dram::Timing& timing,
                                  const dram::Geometry& geometry, obs::Scope scope)
-    : channels_(channels) {
+    : channels_(channels), completion_lead_(timing.cl + timing.bl) {
   const std::uint32_t n_sub = channels * 2;
   ctrls_.reserve(n_sub);
   for (std::uint32_t i = 0; i < n_sub; ++i) {

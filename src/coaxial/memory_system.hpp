@@ -88,6 +88,10 @@ class MemorySystem {
   /// Completions produced since the last drain (caller takes ownership).
   virtual std::vector<MemCompletion>& completions() = 0;
 
+  /// How far past the draining cycle a completion's `done` typically lies
+  /// (the unloaded response path), for sizing the caller's event queue.
+  virtual Cycle completion_lead() const { return 0; }
+
   /// Number of NoC-visible memory ports and the port a line routes through.
   virtual std::uint32_t ports() const = 0;
   virtual std::uint32_t port_of(Addr line) const = 0;
@@ -155,6 +159,7 @@ class DirectDdrMemory final : public MemorySystem {
   Cycle tick(Cycle now) override;
   void set_force_tick(bool force) override { force_tick_ = force; }
   std::vector<MemCompletion>& completions() override { return out_; }
+  Cycle completion_lead() const override { return completion_lead_; }
   std::uint32_t ports() const override { return channels_; }
   std::uint32_t port_of(Addr line) const override {
     return static_cast<std::uint32_t>(line % subchannels()) / 2;
@@ -169,6 +174,7 @@ class DirectDdrMemory final : public MemorySystem {
 
  private:
   std::uint32_t channels_;
+  Cycle completion_lead_;  ///< CAS latency + burst past the CAS tick.
   std::vector<std::unique_ptr<dram::Controller>> ctrls_;
   std::vector<Cycle> ctrl_wake_;  ///< Next cycle each controller could act.
   std::vector<MemCompletion> out_;
@@ -240,6 +246,7 @@ class CxlMemory final : public MemorySystem {
   /// a direct x8 link; switched topologies add 2 switch-port traversals
   /// plus one re-serialisation per hop each way).
   Cycle read_interface_cycles() const { return fixed_read_overhead_; }
+  Cycle completion_lead() const override { return fixed_read_overhead_; }
 
   const ras::FaultPlan& fault_plan() const { return plan_; }
   ras::RasCounters ras_counters() const override;

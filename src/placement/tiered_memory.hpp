@@ -18,6 +18,7 @@
 // them — so the copied image can never go stale.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -61,6 +62,9 @@ class TieredMemory final : public mem::MemorySystem {
     cap_->set_force_tick(force);
   }
   std::vector<mem::MemCompletion>& completions() override { return out_; }
+  Cycle completion_lead() const override {
+    return std::max(fast_->completion_lead(), cap_->completion_lead());
+  }
 
   /// Fast-tier ports first, then the capacity tier's (NoC placement treats
   /// them as one pool of memory tiles).
