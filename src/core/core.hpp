@@ -8,8 +8,9 @@
 // immediately and perform their write (RFO on miss) in the background.
 #pragma once
 
+#include <array>
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <memory>
 
 #include "coaxial/configs.hpp"
@@ -99,6 +100,9 @@ class Core {
  private:
   static constexpr std::uint64_t kStoreFlag = 1ull << 31;
   static constexpr std::uint32_t kNoSlot = ~0u;
+  /// Pending-issue queue bound (a power of two); beyond this, fetch stalls
+  /// (scheduler full).
+  static constexpr std::uint32_t kPendingBound = 64;
 
   struct RobEntry {
     Cycle done_cycle = kNoCycle;  ///< kNoCycle while pending.
@@ -133,7 +137,28 @@ class Core {
   std::uint32_t rob_count_ = 0;
   std::uint64_t next_seq_ = 1;
 
-  std::deque<PendingIssue> pending_;  ///< Issues stalled on deps or structure.
+  /// Issues stalled on deps or structure, oldest first. Fetch stops
+  /// queueing at kPendingBound, so a fixed ring holds them without
+  /// allocating.
+  struct PendingQueue {
+    std::array<PendingIssue, kPendingBound> slots;
+    std::uint32_t head = 0;
+    std::uint32_t count = 0;
+
+    bool empty() const { return count == 0; }
+    std::size_t size() const { return count; }
+    const PendingIssue& front() const { return slots[head]; }
+    void pop_front() {
+      head = (head + 1) & (kPendingBound - 1);
+      --count;
+    }
+    void push_back(const PendingIssue& p) {
+      assert(count < kPendingBound);
+      slots[(head + count) & (kPendingBound - 1)] = p;
+      ++count;
+    }
+  };
+  PendingQueue pending_;
   std::uint32_t store_buffer_used_ = 0;
   std::uint32_t last_load_slot_ = kNoSlot;
   std::uint64_t last_load_seq_ = 0;
