@@ -113,24 +113,34 @@ void PooledSystem::step_slice(std::uint32_t h, Cycle now) {
 
   const double max_ipc = s.gen->params().max_ipc;
   if (now > s.last_step) {
+    // A slice that slept in a dep or window stall spent every skipped cycle
+    // in it. The credit needs no such care: a stall leaves credit >= 1, so
+    // one cycle's refill or any longer gap's reaches the max_ipc cap alike.
+    const Cycle skipped = now - s.last_step - 1;
+    if (s.stall == Stall::kDep) s.dep_stall_cycles += skipped;
+    if (s.stall == Stall::kWindow) s.window_stall_cycles += skipped;
     s.credit = std::min(
         max_ipc, s.credit + max_ipc * static_cast<double>(now - s.last_step));
     s.last_step = now;
   }
 
+  s.stall = Stall::kNone;
   while (s.credit >= 1.0) {
     if (!s.cur_valid) fetch(s, h);
     if (s.cur.kind == workload::InstrKind::kLoad) {
       if (s.cur.depends_on_prev_load && s.last_load_valid &&
           s.slots[s.last_load_slot].busy) {
+        s.stall = Stall::kDep;
         ++s.dep_stall_cycles;
         return;
       }
       if (s.free_slots.empty()) {
+        s.stall = Stall::kWindow;
         ++s.window_stall_cycles;
         return;
       }
       if (!memory_->can_accept(h, s.cur_line, false, now)) {
+        s.stall = Stall::kBp;
         ++s.bp_stall_cycles;
         return;
       }
@@ -144,6 +154,7 @@ void PooledSystem::step_slice(std::uint32_t h, Cycle now) {
       if (s.cur_shared) ++s.shared_ops;
     } else if (s.cur.kind == workload::InstrKind::kStore) {
       if (!memory_->can_accept(h, s.cur_line, true, now)) {
+        s.stall = Stall::kBp;
         ++s.bp_stall_cycles;
         return;
       }
@@ -178,16 +189,16 @@ void PooledSystem::drain_completions(std::uint32_t h) {
 }
 
 void PooledSystem::step(Cycle now) {
-  for (std::uint32_t h = 0; h < cfg_.n_hosts; ++h) step_slice(h, now);
+  for (std::uint32_t h = 0; h < cfg_.n_hosts; ++h) {
+    if (tick_every_cycle_ || !slices_[h].asleep(now)) step_slice(h, now);
+  }
   mem_wake_ = memory_->tick(now);
   for (std::uint32_t h = 0; h < cfg_.n_hosts; ++h) drain_completions(h);
 }
 
 Cycle PooledSystem::next_event_after(Cycle now) const {
   Cycle next = mem_wake_;
-  for (const Slice& s : slices_) {
-    if (!s.halted) return std::min(next, now + 1);
-  }
+  for (const Slice& s : slices_) next = std::min(next, s.wake_after(now));
   return next;
 }
 
@@ -250,9 +261,10 @@ PooledStats PooledSystem::run_sequential(std::uint64_t warmup_instr) {
 // Sharded quantum engine (DESIGN.md §14). Shard 0 is the pool side —
 // the heaviest partition, owned by the coordinator so its pump overlaps
 // the workers' host pumps; shards 1..N are the host slices. Inside a
-// quantum [t, t+Q) every shard advances its own cycles (hosts step their
-// slice every cycle while it retires; both sides event-skip when idle,
-// clamped to the quantum). All cross-shard effects ride mailboxes drained
+// quantum [t, t+Q) every shard advances its own cycles (a host steps its
+// slice every cycle while it retires or is backpressured and sleeps it
+// through dep and window stalls; both sides event-skip when idle, clamped
+// to the quantum). All cross-shard effects ride mailboxes drained
 // at the barrier, and every barrier decision — window open/close,
 // termination, the next quantum to simulate — is taken by the coordinator
 // alone from state that is a pure function of the simulation, never of
@@ -290,21 +302,24 @@ PooledStats PooledSystem::run_quantum(std::uint64_t warmup_instr) {
         return;
       }
       const std::uint32_t h = static_cast<std::uint32_t>(sh - 1);
+      const Slice& s = slices_[h];
       // Completions delivered at the barrier must reach the slice's slot
       // table even when this shard is otherwise asleep.
       drain_completions(h);
       Cycle c = force ? t : std::max(t, shard_next[sh]);
       while (c < t_end) {
         drain_completions(h);
-        step_slice(h, c);
+        if (force || !s.asleep(c)) step_slice(h, c);
         Cycle w = memory_->host_tick(h, c);
-        if (force || !slices_[h].halted) {
-          ++c;  // A retiring slice steps every cycle.
+        if (force) {
+          ++c;
           continue;
         }
         // A completion the tick just produced is drained next cycle, as
-        // the lockstep pump does; quiescence reads the completion queue.
+        // the lockstep pump does (it may end the slice's sleep);
+        // quiescence reads the completion queue.
         if (!memory_->completions(h).empty()) w = c + 1;
+        w = std::min(w, s.wake_after(c));
         if (w == kNoCycle) {
           c = kNoCycle;
           break;
@@ -347,13 +362,29 @@ PooledStats PooledSystem::run_quantum(std::uint64_t warmup_instr) {
 }
 
 void PooledSystem::throw_lost_wake(Cycle now) const {
-  // Only reachable once every slice has halted: a live slice always arms
-  // the next cycle. Stepping on blindly would spin forever, or hide a wake
-  // bound that is not conservative.
+  // Reachable with live slices: a slice asleep in a dep or window stall arms
+  // nothing until a completion lands. Name each live slice and what it
+  // awaits, so a completion the pool never delivers points at its host.
+  // Stepping on blindly would spin forever, or hide a wake bound that is
+  // not conservative.
+  static constexpr const char* kStallNames[] = {"running", "dep-stalled",
+                                                "window-stalled", "bp-stalled"};
+  std::string live;
+  for (std::uint32_t h = 0; h < cfg_.n_hosts; ++h) {
+    const Slice& s = slices_[h];
+    if (s.halted) continue;
+    // A dep stall awaits its producer load's slot, a window stall any slot.
+    const Cycle landing =
+        s.stall == Stall::kDep ? s.slots[s.last_load_slot].done : s.next_done;
+    live += "; host " + std::to_string(h) + " " +
+            kStallNames[static_cast<int>(s.stall)] + ", " +
+            (landing == kNoCycle ? std::string("completion pending")
+                                 : "landing at cycle " + std::to_string(landing));
+  }
   throw std::logic_error("sim::PooledSystem: lost wake-up at cycle " +
                          std::to_string(now) +
                          ": nothing is armed but the pool still holds work (" +
-                         memory_->pending_work() + ")");
+                         memory_->pending_work() + ")" + live);
 }
 
 PooledStats PooledSystem::assemble_stats(Cycle total) const {

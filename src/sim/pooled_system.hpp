@@ -24,12 +24,17 @@
 //    it cannot be split into independently-pumped shards. Requesting more
 //    than one worker on a switched pool throws.
 //
-// Determinism (both pumps): slices are stepped in host order every cycle
-// while retiring (each live slice arms a now+1 wake), so per-step stall
-// counters are identical whether the scheduler runs event-driven or in
-// lockstep (set_tick_every_cycle); event skipping only compresses idle gaps —
-// the engine additionally rounds skips down to quantum boundaries so both
-// modes observe every barrier predicate transition at the same barrier.
+// Determinism (both pumps): slices are stepped in host order. A slice that
+// retires or is backpressured arms a now+1 wake; a slice stalled on a
+// load->load dependency or a full read window sleeps until its earliest
+// slot landing (Slice::next_done, lowered by every drained completion),
+// because only the sweep that frees a slot can end either stall. On resume
+// it counts every skipped cycle as that stall, so the stall counters are
+// identical whether the scheduler runs event-driven or in lockstep
+// (set_tick_every_cycle, which steps every slice every cycle); event
+// skipping only compresses idle gaps — the engine additionally rounds skips
+// down to quantum boundaries so both modes observe every barrier predicate
+// transition at the same barrier.
 #pragma once
 
 #include <cstdint>
@@ -99,6 +104,9 @@ class PooledSystem {
     bool busy = false;
   };
 
+  /// Why a slice's last step stopped short of its IPC credit.
+  enum class Stall : std::uint8_t { kNone, kDep, kWindow, kBp };
+
   struct Slice {
     std::unique_ptr<workload::Generator> gen;
     Rng share_rng{0};
@@ -114,6 +122,7 @@ class PooledSystem {
     std::uint32_t last_load_slot = 0;
     bool last_load_valid = false;
     bool halted = false;
+    Stall stall = Stall::kNone;  ///< Set by the last step.
     Cycle halt_at = kNoCycle;    ///< Cycle the budget was crossed (exact).
     std::uint64_t retired = 0;
     std::uint64_t retired_base = 0;  ///< Snapshot at window open.
@@ -125,6 +134,19 @@ class PooledSystem {
     std::uint64_t dep_stall_cycles = 0;     ///< Load->load dependency.
     std::uint64_t window_stall_cycles = 0;  ///< All read slots busy.
     FixedHistogram lat;  ///< Read latency, cycles, window-issued only.
+
+    /// A dep or window stall holds until a sweep frees a slot, and nothing
+    /// sweeps before the earliest landing: the slice need not step at `now`.
+    bool asleep(Cycle now) const {
+      return (stall == Stall::kDep || stall == Stall::kWindow) && now < next_done;
+    }
+    /// The next cycle the slice, stepped at `now`, must step: kNoCycle once
+    /// halted, the earliest landing while asleep (kNoCycle until a
+    /// completion is drained), now + 1 otherwise.
+    Cycle wake_after(Cycle now) const {
+      if (halted) return kNoCycle;
+      return asleep(now + 1) ? next_done : now + 1;
+    }
   };
 
   void step(Cycle now);
@@ -139,8 +161,9 @@ class PooledSystem {
   bool track_window(std::uint64_t warmup_instr, Cycle at);
   PooledStats run_sequential(std::uint64_t warmup_instr);
   PooledStats run_quantum(std::uint64_t warmup_instr);
-  /// Throws std::logic_error naming the pool's non-empty structures: the
-  /// drain found nothing armed while work remains.
+  /// Throws std::logic_error naming the pool's non-empty structures and
+  /// each live slice's stall and awaited landing: nothing is armed while
+  /// work remains.
   [[noreturn]] void throw_lost_wake(Cycle now) const;
   PooledStats assemble_stats(Cycle total) const;
   void register_metrics();

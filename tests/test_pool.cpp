@@ -176,6 +176,25 @@ pool::PoolConfig tiny_directory_pool(std::uint32_t hosts) {
   return c;
 }
 
+/// A one-slot read window: every load waits out the previous load's slot,
+/// so window stalls dominate the slices' stall cycles.
+pool::PoolConfig window_bound_pool() {
+  pool::PoolConfig c = small_pool(3);
+  c.name = "window-bound";
+  c.host_window = 1;
+  return c;
+}
+
+/// Four hosts streaming copies through 64-slot windows outrun the pool's
+/// admission: the slices stall on a full window and on backpressure.
+pool::PoolConfig stream_backpressure_pool() {
+  pool::PoolConfig c = small_pool(4);
+  c.name = "stream-backpressure";
+  c.workload = "stream-copy";
+  c.host_window = 64;
+  return c;
+}
+
 std::string pooled_document(const pool::PoolConfig& cfg, bool forced,
                             sim::PooledStats* out = nullptr) {
   sim::PooledSystem s(cfg, /*seed=*/7);
@@ -229,13 +248,15 @@ void expect_modes_identical(const std::vector<pool::PoolConfig>& cfgs) {
 
 /// The identity inputs on `kind`: the shrunk ping-pong pool; one hot page
 /// every host hammers, so demands park behind its lock; a two-entry
-/// directory, so inserts find every entry locked and no victim; and the
-/// unshrunk 4-host presets, whose drain tails once outran a wake bound
-/// (a switched send after the plane ticked, an undrained completion on a
-/// sleeping host shard).
+/// directory, so inserts find every entry locked and no victim; a one-slot
+/// window and a backpressured stream, so slices sleep through window stalls
+/// and step through backpressure; and the unshrunk 4-host presets, whose
+/// drain tails once outran a wake bound (a switched send after the plane
+/// ticked, an undrained completion on a sleeping host shard).
 std::vector<pool::PoolConfig> identity_inputs(fabric::TopologyKind kind) {
   std::vector<pool::PoolConfig> cfgs = {small_pool(2), hot_page_pool(3),
-                                        tiny_directory_pool(3)};
+                                        tiny_directory_pool(3), window_bound_pool(),
+                                        stream_backpressure_pool()};
   for (pool::PoolConfig& c : cfgs) c.fabric_kind = kind;
   if (kind == fabric::TopologyKind::kDirect) {
     cfgs.push_back(sys::coaxial_pooled(4));
@@ -252,6 +273,48 @@ TEST(PooledSystem, SchedulerModesAreByteIdenticalDirect) {
 
 TEST(PooledSystem, SchedulerModesAreByteIdenticalSwitched) {
   expect_modes_identical(identity_inputs(fabric::TopologyKind::kStar));
+}
+
+struct StallCycles {
+  std::uint64_t dep = 0, window = 0, bp = 0;
+};
+
+/// The per-host stall counters of an event-driven run of `cfg` on `kind`,
+/// summed over hosts.
+StallCycles stall_cycles(pool::PoolConfig cfg, fabric::TopologyKind kind) {
+  cfg.fabric_kind = kind;
+  sim::PooledSystem s(cfg, /*seed=*/7);
+  s.run(/*warmup_instr=*/300, /*measure_instr=*/1500);
+  StallCycles st;
+  const auto ends_with = [](const std::string& path, const std::string& leaf) {
+    return path.size() >= leaf.size() &&
+           path.compare(path.size() - leaf.size(), leaf.size(), leaf) == 0;
+  };
+  for (const auto& [path, value] : s.metrics().snapshot()) {
+    if (path.rfind("pool/host/", 0) != 0) continue;
+    const auto n = static_cast<std::uint64_t>(value.as_double());
+    if (ends_with(path, "/dep_stall_cycles")) st.dep += n;
+    if (ends_with(path, "/window_stall_cycles")) st.window += n;
+    if (ends_with(path, "/bp_stall_cycles")) st.bp += n;
+  }
+  return st;
+}
+
+TEST(PooledSystem, StallInputsExerciseWindowAndBackpressureStalls) {
+  // The identity pins above hold a sleeping slice's stall accounting to
+  // lockstep only where the inputs stall the way they are meant to: the
+  // one-slot window mostly on its window, the stream on its window and on
+  // backpressure (the 4-host presets record no backpressure at all).
+  for (const fabric::TopologyKind kind :
+       {fabric::TopologyKind::kDirect, fabric::TopologyKind::kStar}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const StallCycles one_slot = stall_cycles(window_bound_pool(), kind);
+    EXPECT_GT(one_slot.window, 0u);
+    EXPECT_GT(one_slot.window, one_slot.dep);
+    const StallCycles stream = stall_cycles(stream_backpressure_pool(), kind);
+    EXPECT_GT(stream.window, 0u);
+    EXPECT_GT(stream.bp, 0u);
+  }
 }
 
 TEST(PooledMemory, PendingWorkNamesTheStructuresHoldingWork) {
