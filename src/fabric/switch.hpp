@@ -15,6 +15,7 @@
 // byte-identical with lockstep ticking (RunRequest::tick_every_cycle).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -84,6 +85,8 @@ class Switch {
   bool can_enqueue(std::uint32_t p) const { return in_q_[p].size() < queue_depth_; }
 
   void enqueue(std::uint32_t p, const FabricMsg& msg) {
+    // Only a message that becomes a front can lower the head bound.
+    if (in_q_[p].empty() && msg.ready < head_) head_ = msg.ready;
     in_q_[p].push_back(msg);
     ++enqueued_[p];
     if (in_q_[p].size() > queue_high_water_[p]) {
@@ -95,12 +98,20 @@ class Switch {
 
   /// Earliest arrival over the ingress heads (kNoCycle when every queue is
   /// empty). Only a head can move, so this bounds the plane's next forward.
-  Cycle earliest_head() const {
-    Cycle at = kNoCycle;
+  /// O(1): enqueue() lowers the cached bound when it fills an empty queue,
+  /// and tick() recomputes it in its pass over the fronts.
+  Cycle earliest_head() const { return head_; }
+
+  /// Test hook: audits the cached head bound against a fresh minimum over
+  /// the ingress fronts. Returns "" when they agree, else the mismatch.
+  std::string check_head() const {
+    Cycle fresh = kNoCycle;
     for (const std::deque<FabricMsg>& q : in_q_) {
-      if (!q.empty() && q.front().ready < at) at = q.front().ready;
+      if (!q.empty() && q.front().ready < fresh) fresh = q.front().ready;
     }
-    return at;
+    if (fresh == head_) return "";
+    return "head bound " + std::to_string(head_) + ", fresh minimum " +
+           std::to_string(fresh);
   }
 
   /// Forward ready ingress heads through their egress pipes.
@@ -115,13 +126,12 @@ class Switch {
   ///
   /// Idle contract: while no head has arrived (earliest_head() > now), a
   /// tick forwards nothing, mutates nothing and returns earliest_head() —
-  /// so it returns that after one pass over the heads, and idle ticks
-  /// interleaved with traffic never perturb arbitration.
+  /// so it returns that after one O(1) read of the cached bound, and idle
+  /// ticks interleaved with traffic never perturb arbitration.
   template <class OutPortOf, class DownstreamReady, class Deliver>
   Cycle tick(Cycle now, OutPortOf&& out_port_of, DownstreamReady&& downstream_ready,
              Deliver&& deliver) {
-    const Cycle head = earliest_head();
-    if (head > now) return head;
+    if (head_ > now) return head_;
     for (std::uint32_t out = 0; out < out_ports_; ++out) {
       bool open = pipes_[out].can_send(now) && downstream_ready(out);
       bool progress = true;
@@ -145,16 +155,15 @@ class Switch {
         if (progress) open = pipes_[out].can_send(now) && downstream_ready(out);
       }
     }
-    // Conservative wake: a future head wakes at its arrival; a ready head
-    // that could not move (egress backlog or downstream full) retries next
-    // cycle — the blocking state may change at any downstream drain.
-    Cycle wake = kNoCycle;
+    // Recompute the head bound over the fronts forwarding left. Conservative
+    // wake: a future head wakes at its arrival; a ready head that could not
+    // move (egress backlog or downstream full) retries next cycle — the
+    // blocking state may change at any downstream drain.
+    head_ = kNoCycle;
     for (const std::deque<FabricMsg>& q : in_q_) {
-      if (q.empty()) continue;
-      const Cycle at = q.front().ready > now ? q.front().ready : now + 1;
-      if (at < wake) wake = at;
+      if (!q.empty() && q.front().ready < head_) head_ = q.front().ready;
     }
-    return wake;
+    return std::max(head_, now + 1);
   }
 
   void reset_stats() {
@@ -190,6 +199,7 @@ class Switch {
   std::vector<std::size_t> queue_high_water_;
   std::vector<std::uint32_t> rr_;  ///< Per-egress round-robin cursor.
   std::vector<link::SerialPipe> pipes_;
+  Cycle head_ = kNoCycle;  ///< Minimum `ready` over the ingress fronts.
 };
 
 }  // namespace coaxial::fabric

@@ -1,7 +1,9 @@
 // CXL fabric subsystem tests: topology construction + validation, the
 // cross-device interleaving policies, deterministic round-robin switch
-// arbitration, per-hop latency additivity in exact cycle math, and
-// byte-identical fabric/* metrics across repeated runs.
+// arbitration and its cached head bound, per-hop latency additivity in
+// exact cycle math, and byte-identical fabric/* metrics across repeated
+// runs.
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -12,6 +14,7 @@
 
 #include "coaxial/configs.hpp"
 #include "coaxial/memory_system.hpp"
+#include "common/rng.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/router.hpp"
 #include "fabric/switch.hpp"
@@ -263,6 +266,44 @@ TEST(Switch, IdleTicksBetweenTrafficChangeNothing) {
     EXPECT_EQ(sparse_stats[o].busy_cycles, dense_stats[o].busy_cycles);
     EXPECT_EQ(sparse_stats[o].queue_delay_sum, dense_stats[o].queue_delay_sum);
   }
+}
+
+TEST(Switch, CachedHeadBoundMatchesFreshMinimumUnderRandomTraffic) {
+  // Seeded interleaving of enqueues (onto empty and non-empty ports, with
+  // random arrival cycles) and ticks under random downstream readiness and
+  // a tight egress backlog. After every operation the O(1) head bound must
+  // equal a fresh minimum over the ingress fronts, and every tick must
+  // return the wake that bound implies.
+  constexpr std::uint32_t kIn = 4, kOut = 3;
+  Rng rng(2024);
+  Switch sw(kIn, kOut, /*goodput=*/26.0, /*fixed=*/10, /*backlog=*/12, /*depth=*/6);
+  std::vector<std::uint32_t> occupancy(kIn, 0);
+  std::uint64_t fills_empty = 0, fills_busy = 0, forwarded = 0;
+  Cycle now = 0;
+  for (int op = 0; op < 20000; ++op) {
+    if (rng.chance(0.4)) {
+      const auto p = static_cast<std::uint32_t>(rng.next_below(kIn));
+      if (!sw.can_enqueue(p)) continue;
+      ++(occupancy[p] == 0 ? fills_empty : fills_busy);
+      ++occupancy[p];
+      sw.enqueue(p, {now + rng.next_below(40), static_cast<std::uint32_t>(rng.next_below(kOut)),
+                     64, p});
+    } else {
+      const Cycle wake = sw.tick(
+          now, [](const FabricMsg& m) { return m.dest; },
+          [&rng](std::uint32_t) { return rng.chance(0.6); },
+          [&](std::uint32_t, const FabricMsg& m, Cycle) {
+            --occupancy[m.payload];
+            ++forwarded;
+          });
+      ASSERT_EQ(wake, std::max(sw.earliest_head(), now + 1)) << "op " << op;
+      now += rng.next_below(8);
+    }
+    ASSERT_EQ(sw.check_head(), "") << "op " << op;
+  }
+  EXPECT_GT(fills_empty, 1000u);
+  EXPECT_GT(fills_busy, 1000u);
+  EXPECT_GT(forwarded, 1000u);
 }
 
 // ------------------------------------------------- latency additivity
