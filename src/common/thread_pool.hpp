@@ -18,7 +18,7 @@ namespace coaxial {
 /// How many intra-run shard workers each simulation may use when `outer`
 /// simulations run concurrently (run_many's pool composing with the sharded
 /// pump): outer x inner must not oversubscribe the machine. Always >= 1 so a
-/// sharded run degrades to the sequential single-worker pump rather than
+/// sharded run degrades to one worker pumping every shard inline rather than
 /// failing. `hardware == 0` (unknown concurrency) conservatively yields 1.
 inline std::size_t inner_shard_cap(std::size_t outer, std::size_t hardware) {
   if (outer == 0) outer = 1;

@@ -47,6 +47,7 @@ Fabric::Fabric(const FabricConfig& cfg, std::uint32_t default_channels,
                                                           backlog, tag));
     host_tx_.back()->register_stats(fs.sub("host" + obs::idx(l) + "/tx"));
   }
+  landing_frees_.assign(topo_.n_devices, 0);
   dev_up_.reserve(topo_.n_devices);
   for (std::uint32_t d = 0; d < topo_.n_devices; ++d) {
     const std::string tag = "fabric/dev" + obs::idx(d) + "/up";
@@ -121,9 +122,8 @@ link::SendResult Fabric::send_tx(std::uint32_t dev, std::uint32_t bytes, Cycle n
 }
 
 bool Fabric::can_send_rx(std::uint32_t dev, Cycle now) const {
-  if (link_down_[dev]) return false;
-  if (direct()) return direct_links_[dev]->can_send_rx(now);
-  if (!dev_up_[dev]->can_send(now)) return false;
+  if (!can_inject_rx(dev, now)) return false;
+  if (direct()) return true;
   return cfg_.kind == TopologyKind::kTree
              ? leaf_up_[leaf_of(dev)]->can_enqueue(leaf_port_of(dev))
              : root_up_->can_enqueue(dev);
@@ -132,23 +132,64 @@ bool Fabric::can_send_rx(std::uint32_t dev, Cycle now) const {
 link::SendResult Fabric::send_rx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
                                  std::uint64_t payload) {
   if (direct()) return direct_links_[dev]->send_rx(bytes, now);
-  const link::SendResult ready = dev_up_[dev]->send(bytes, now);
-  const FabricMsg msg{ready.at, dev, bytes, payload, ready.poisoned};
-  if (cfg_.kind == TopologyKind::kTree) {
-    leaf_up_[leaf_of(dev)]->enqueue(leaf_port_of(dev), msg);
-  } else {
-    root_up_->enqueue(dev, msg);
-  }
+  post_rx(dev, bytes, now, payload);
   return {kNoCycle, false};
 }
 
+void Fabric::post_tx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
+                     std::uint64_t payload) {
+  const link::SendResult sr = send_tx(dev, bytes, now, payload);
+  if (direct()) tx_out_.push_back({sr.at, dev, payload, sr.poisoned});
+}
+
+void Fabric::post_rx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
+                     std::uint64_t payload) {
+  const link::SendResult ready = inject_rx(dev, bytes, now);
+  land_rx({ready.at, dev, bytes, payload, ready.poisoned});
+}
+
+bool Fabric::can_inject_rx(std::uint32_t dev, Cycle now) const {
+  if (link_down_[dev]) return false;
+  return direct() ? direct_links_[dev]->can_send_rx(now) : dev_up_[dev]->can_send(now);
+}
+
+link::SendResult Fabric::inject_rx(std::uint32_t dev, std::uint32_t bytes, Cycle now) {
+  return direct() ? direct_links_[dev]->send_rx(bytes, now)
+                  : dev_up_[dev]->send(bytes, now);
+}
+
+void Fabric::land_rx(const FabricMsg& msg) {
+  if (direct()) {
+    rx_out_.push_back({msg.ready, msg.dest, msg.payload, msg.poisoned});
+  } else if (cfg_.kind == TopologyKind::kTree) {
+    leaf_up_[leaf_of(msg.dest)]->enqueue(leaf_port_of(msg.dest), msg);
+  } else {
+    root_up_->enqueue(msg.dest, msg);
+  }
+}
+
+std::uint64_t Fabric::landing_depth() const {
+  return direct() ? ~std::uint64_t{0} : cfg_.switch_queue_depth;
+}
+
+std::uint32_t Fabric::take_landing_frees(std::uint32_t dev) {
+  if (direct()) return 0;
+  const std::uint32_t n = landing_frees_[dev];
+  landing_frees_[dev] = 0;
+  return n;
+}
+
+std::size_t Fabric::queued_msgs() const {
+  if (direct()) return 0;
+  std::size_t n = root_down_->queued() + root_up_->queued();
+  for (const auto& s : leaf_down_) n += s->queued();
+  for (const auto& s : leaf_up_) n += s->queued();
+  return n;
+}
+
 Cycle Fabric::rx_credit_cycle(std::uint32_t dev, Cycle now) const {
-  if (direct()) return direct_links_[dev]->rx_credit_cycle(now);
-  if (can_send_rx(dev, now)) return now;
-  // Blocked on the uplink pipe: its credit cycle is exact. Blocked on a
-  // full switch ingress queue: retry next cycle (it drains via ticks).
-  const Cycle at = dev_up_[dev]->credit_cycle(now);
-  return at > now ? at : now + 1;
+  return direct() ? direct_links_[dev]->rx_credit_cycle(now)
+                  : dev_up_[dev]->credit_cycle(now);
 }
 
 Cycle Fabric::earliest_head() const {
@@ -203,12 +244,14 @@ Cycle Fabric::tick(Cycle now) {
 
   // Up plane, downstream order: leaves feed the root, the root delivers.
   if (tree) {
+    // A leaf is the first up hop: every forward frees a landing slot.
     for (std::uint32_t i = 0; i < leaf_up_.size(); ++i) {
       wake = std::min(
           wake, leaf_up_[i]->tick(
                     now, [](const FabricMsg&) { return 0u; },
                     [this, i](std::uint32_t) { return root_up_->can_enqueue(i); },
                     [this, i](std::uint32_t, const FabricMsg& m, Cycle arrival) {
+                      ++landing_frees_[m.dest];
                       root_up_->enqueue(
                           i, {arrival, m.dest, m.bytes, m.payload, m.poisoned});
                     }));
@@ -218,7 +261,8 @@ Cycle Fabric::tick(Cycle now) {
       wake, root_up_->tick(
                 now, [this](const FabricMsg& m) { return topo_.root_port_of(m.dest); },
                 [](std::uint32_t) { return true; },
-                [this](std::uint32_t, const FabricMsg& m, Cycle arrival) {
+                [this, tree](std::uint32_t, const FabricMsg& m, Cycle arrival) {
+                  if (!tree) ++landing_frees_[m.dest];
                   rx_out_.push_back({arrival, m.dest, m.payload, m.poisoned});
                 }));
   return wake;
@@ -236,6 +280,13 @@ Cycle Fabric::unloaded_rx_cycles(std::uint32_t bytes) const {
   const Cycle ser = serialization_cycles(lanes_.rx_goodput_gbps, bytes);
   return (hops_ + 1) * ser + 2 * lanes_.port_latency_cycles() +
          2 * hops_ * cfg_.switch_port_cycles();
+}
+
+Cycle Fabric::unloaded_device_hop_cycles(std::uint32_t bytes) const {
+  if (direct()) return std::min(unloaded_tx_cycles(bytes), unloaded_rx_cycles(bytes));
+  const Cycle ser = std::min(serialization_cycles(lanes_.tx_goodput_gbps, bytes),
+                             serialization_cycles(lanes_.rx_goodput_gbps, bytes));
+  return ser + lanes_.port_latency_cycles() + cfg_.switch_port_cycles();
 }
 
 void Fabric::reset_stats() {

@@ -18,6 +18,7 @@
 // adds exactly two port traversals plus one re-serialisation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -84,9 +85,36 @@ class Fabric {
   bool can_send_rx(std::uint32_t dev, Cycle now) const;
   link::SendResult send_rx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
                            std::uint64_t payload);
-  /// Earliest cycle (>= now) the device's return-path injection point could
-  /// have a free credit again.
+  /// Earliest cycle (>= now) the device's uplink pipe has a free credit
+  /// (a full switch ingress behind it drains at its own ticks).
   Cycle rx_credit_cycle(std::uint32_t dev, Cycle now) const;
+
+  /// Posted sends report every arrival through tx_deliveries() /
+  /// rx_deliveries(): a direct link's at once, a switched plane's at the
+  /// tick() that forwards it off its last hop. Gate on can_send_*().
+  void post_tx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
+               std::uint64_t payload);
+  void post_rx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
+               std::uint64_t payload);
+
+  // A posted device -> host send is inject_rx() (serialise on the device's
+  // uplink pipe: a direct link's rx pipe, or the uplink into the first
+  // switch) then land_rx() (a direct link delivers, a switch queues at the
+  // device's ingress port). The halves touch disjoint state, so two shards
+  // may own them (DESIGN.md §14).
+  bool can_inject_rx(std::uint32_t dev, Cycle now) const;
+  link::SendResult inject_rx(std::uint32_t dev, std::uint32_t bytes, Cycle now);
+  /// `msg.ready` is inject_rx()'s cycle, `msg.dest` the sending device.
+  void land_rx(const FabricMsg& msg);
+  /// Messages a device's landing point holds: its switch ingress port's
+  /// depth, unbounded for a direct link (which delivers at once).
+  std::uint64_t landing_depth() const;
+  /// Messages the first up-plane hop forwarded off `dev`'s landing port
+  /// since the last call (each frees one slot there); resets the count.
+  std::uint32_t take_landing_frees(std::uint32_t dev);
+
+  /// Messages buffered in the switch planes (always 0 for direct fabrics).
+  std::size_t queued_msgs() const;
 
   /// Advance the switched planes (downstream order, so a hop's output lands
   /// in the next hop's ingress before that hop computes its wake). Fills
@@ -107,6 +135,10 @@ class Fabric {
   /// traversals.
   Cycle unloaded_tx_cycles(std::uint32_t bytes) const;
   Cycle unloaded_rx_cycles(std::uint32_t bytes) const;
+  /// Unloaded latency of the device segment alone, the smaller of its two
+  /// directions: the whole link on a direct fabric, one serialisation plus
+  /// a switch port and a link port (S + P) on a switched one.
+  Cycle unloaded_device_hop_cycles(std::uint32_t bytes) const;
 
   /// Direct-mode access to the underlying per-channel link (legacy API).
   const link::CxlLink& direct_link(std::uint32_t i) const { return *direct_links_[i]; }
@@ -135,6 +167,7 @@ class Fabric {
   std::vector<std::unique_ptr<Switch>> leaf_down_, leaf_up_;
 
   std::vector<Delivery> tx_out_, rx_out_;
+  std::vector<std::uint32_t> landing_frees_;  ///< Per device, switched only.
 };
 
 }  // namespace coaxial::fabric

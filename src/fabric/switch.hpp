@@ -96,6 +96,14 @@ class Switch {
 
   const link::SerialPipe& egress(std::uint32_t o) const { return pipes_[o]; }
 
+  /// Messages buffered over every ingress port (in flight toward one
+  /// included).
+  std::size_t queued() const {
+    std::size_t n = 0;
+    for (const std::deque<FabricMsg>& q : in_q_) n += q.size();
+    return n;
+  }
+
   /// Earliest arrival over the ingress heads (kNoCycle when every queue is
   /// empty). Only a head can move, so this bounds the plane's next forward.
   /// O(1): enqueue() lowers the cached bound when it fills an empty queue,

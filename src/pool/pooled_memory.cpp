@@ -18,6 +18,47 @@ constexpr std::uint32_t kIngressDepth = 64;
 /// parked_at_ value of a head the directory has not blocked.
 constexpr std::uint64_t kNotParked = ~std::uint64_t{0};
 
+/// A head message's fabric payload, index << 2 | flag << 1 | control:
+/// `control` marks an invalidation ack (down) or an invalidation (up),
+/// `flag` is dirty (a response's request-side poison), and `index` a
+/// transaction id, a read slot, or a demand's host-side entry.
+std::uint64_t wire(bool control, bool flag, std::uint32_t index) {
+  return (std::uint64_t{index} << 2) | (std::uint64_t{flag} << 1) | control;
+}
+std::uint32_t wire_index(std::uint64_t p) { return static_cast<std::uint32_t>(p >> 2); }
+bool wire_flag(std::uint64_t p) { return (p & 2) != 0; }
+bool wire_control(std::uint64_t p) { return (p & 1) != 0; }
+
+/// Credits whose return has reached their holder by `now` become usable;
+/// the rest fold their cycle into `wake`.
+template <class Credit>
+void mature_credits(std::vector<Credit>& pending, std::vector<std::uint64_t>& credits,
+                    Cycle now, Cycle& wake) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    const Credit c = pending[i];
+    if (c.at > now) {
+      pending[kept++] = c;
+      wake = std::min(wake, c.at);
+      continue;
+    }
+    ++credits[c.sub];
+  }
+  pending.resize(kept);
+}
+
+/// The lookahead guard: mail delivered at a barrier must not take effect
+/// before it, or a shard already simulated past the message's cycle.
+void check_on_time(const char* box, std::uint32_t host, Cycle at, Cycle barrier) {
+  if (at >= barrier) return;
+  throw std::logic_error("pool::PooledMemory: " + std::string(box) +
+                         " mail of host " + std::to_string(host) +
+                         " takes effect at cycle " + std::to_string(at) +
+                         ", before the barrier at cycle " +
+                         std::to_string(barrier) +
+                         " (the quantum exceeds the cross-shard latency floor)");
+}
+
 placement::TierConfig shared_window_decode(const PoolConfig& cfg) {
   placement::TierConfig tc;
   tc.enabled = true;
@@ -119,9 +160,9 @@ PooledMemory::PooledMemory(const PoolConfig& cfg, obs::Scope scope)
     bounce_cycles_ = fab_[0]->unloaded_tx_cycles(link::kReadRequestBytes) +
                      fab_[0]->unloaded_rx_cycles(link::kReadResponseBytes);
   }
-  direct_ = fab_[0]->direct();
-  // Engine timing constants (cheap; computed on every fabric).
+  // Engine timing constants (every head has the same shape).
   credit_lat_ = fab_[0]->unloaded_rx_cycles(link::kReadRequestBytes);
+  port_credit_lat_ = fab_[0]->unloaded_device_hop_cycles(link::kReadRequestBytes);
   bounce_rx_lat_ = fab_[0]->unloaded_rx_cycles(link::kReadResponseBytes);
 
   shared_ingress_.assign(s_subs_, std::vector<std::deque<DeviceMsg>>(n_hosts_));
@@ -129,8 +170,9 @@ PooledMemory::PooledMemory(const PoolConfig& cfg, obs::Scope scope)
   shared_wake_.assign(s_subs_, 0);
   parked_at_.assign(s_subs_, std::vector<std::uint64_t>(n_hosts_, kNotParked));
   priv_wake_.assign(n_hosts_, std::vector<Cycle>(p_subs_, 0));
-  tx_inflight_shared_.assign(s_subs_, std::vector<std::uint32_t>(n_hosts_, 0));
   tx_inflight_priv_.assign(n_hosts_, std::vector<std::uint32_t>(p_subs_, 0));
+  down_msgs_.resize(n_hosts_);
+  down_free_.resize(n_hosts_);
 
   inflight_.resize(n_hosts_);
   free_slots_.resize(n_hosts_);
@@ -141,17 +183,19 @@ PooledMemory::PooledMemory(const PoolConfig& cfg, obs::Scope scope)
   out_.resize(n_hosts_);
   inflight_reads_.assign(n_hosts_, 0);
   host_invals_.resize(n_hosts_);
-  wire_pool_.resize(n_hosts_);
-  free_wire_.resize(n_hosts_);
   txns_per_dev_.assign(s_devs_, 0);
 
   mail_demand_.resize(n_hosts_);
   mail_ack_.resize(n_hosts_);
+  mail_port_credit_.resize(n_hosts_);
+  mail_up_.resize(n_hosts_);
   mail_comp_.resize(n_hosts_);
   mail_credit_.resize(n_hosts_);
-  mail_inval_.resize(n_hosts_);
   pending_credits_.resize(n_hosts_);
-  credits_.assign(n_hosts_, std::vector<std::uint32_t>(s_subs_, kIngressDepth));
+  credits_.assign(n_hosts_, std::vector<std::uint64_t>(s_subs_, kIngressDepth));
+  pending_port_credits_.resize(n_hosts_);
+  port_credits_.assign(n_hosts_, std::vector<std::uint64_t>(
+                                     s_devs_, fab_[0]->landing_depth()));
 
   avail_host_.resize(n_hosts_);
   host_shared_ctr_.resize(n_hosts_);
@@ -160,13 +204,12 @@ PooledMemory::PooledMemory(const PoolConfig& cfg, obs::Scope scope)
 }
 
 Cycle PooledMemory::min_cross_shard_latency() const {
+  // Every cross-shard message crosses a device segment (or, for a credit
+  // or a bounce, is stamped with at least one); latency is monotone in
+  // bytes, so the smallest message bounds every message from below.
   Cycle q = kNoCycle;
   for (const auto& f : fab_) {
-    q = std::min(q, f->unloaded_tx_cycles(link::kReadRequestBytes));
-    // The response path's floor is also the control-message (inval/credit)
-    // floor: rx latency is monotone in bytes, so the smallest rx message
-    // bounds every rx message from below.
-    q = std::min(q, f->unloaded_rx_cycles(link::kReadRequestBytes));
+    q = std::min(q, f->unloaded_device_hop_cycles(link::kReadRequestBytes));
   }
   return std::max<Cycle>(q, 1);
 }
@@ -208,19 +251,72 @@ std::uint32_t PooledMemory::alloc_txn() {
   return static_cast<std::uint32_t>(txns_.size() - 1);
 }
 
-std::uint32_t PooledMemory::alloc_wire(std::uint32_t host, const WireMsg& msg) {
-  auto& pool = wire_pool_[host];
-  auto& free = free_wire_[host];
+std::uint32_t PooledMemory::park_down(std::uint32_t host, const DemandMail& dm) {
+  auto& msgs = down_msgs_[host];
+  auto& free = down_free_[host];
   std::uint32_t m;
   if (!free.empty()) {
     m = free.back();
     free.pop_back();
   } else {
-    m = static_cast<std::uint32_t>(pool.size());
-    pool.emplace_back();
+    m = static_cast<std::uint32_t>(msgs.size());
+    msgs.emplace_back();
   }
-  pool[m] = msg;
+  msgs[m] = dm;
   return m;
+}
+
+void PooledMemory::take_down(std::uint32_t host) {
+  auto& delivered = fab_[host]->tx_deliveries();
+  for (const fabric::Delivery& d : delivered) {
+    const std::uint32_t index = wire_index(d.payload);
+    if (wire_control(d.payload)) {
+      mail_ack_[host].push_back({d.arrival, index, wire_flag(d.payload)});
+      continue;
+    }
+    DemandMail dm = down_msgs_[host][index];
+    down_free_[host].push_back(index);
+    dm.msg.arrival = d.arrival;
+    dm.msg.poisoned = d.poisoned;
+    if (d.device < s_devs_) {
+      // Cross-shard: the pooled ingress belongs to the pool shard, and the
+      // arrival lies at least a quantum past the forward (or send) that
+      // produced it, so barrier delivery is never late.
+      mail_demand_[host].push_back(dm);
+    } else {
+      priv_ingress_[host][dm.sub].push_back(dm.msg);
+      priv_wake_[host][dm.sub] = std::min(priv_wake_[host][dm.sub], d.arrival);
+      --tx_inflight_priv_[host][dm.sub];
+    }
+  }
+  delivered.clear();
+}
+
+void PooledMemory::take_up(std::uint32_t host) {
+  auto& delivered = fab_[host]->rx_deliveries();
+  for (const fabric::Delivery& d : delivered) {
+    const std::uint32_t index = wire_index(d.payload);
+    const bool flag = wire_flag(d.payload);
+    if (wire_control(d.payload)) {
+      host_invals_[host].push_back({d.arrival, index, d.device, flag});
+    } else {
+      finish_read(host, index, d.arrival, flag || d.poisoned);
+    }
+  }
+  delivered.clear();
+}
+
+bool PooledMemory::can_ship(std::uint32_t host, std::uint32_t sdev,
+                            Cycle now) const {
+  return port_credits_[host][sdev] != 0 && fab_[host]->can_inject_rx(sdev, now);
+}
+
+void PooledMemory::ship_up(std::uint32_t host, std::uint32_t sdev,
+                           std::uint32_t bytes, Cycle now,
+                           std::uint64_t payload) {
+  const link::SendResult sr = fab_[host]->inject_rx(sdev, bytes, now);
+  --port_credits_[host][sdev];
+  mail_up_[host].push_back({sr.at, sdev, bytes, payload, sr.poisoned});
 }
 
 bool PooledMemory::can_accept(std::uint32_t host, Addr line, bool is_write,
@@ -236,11 +332,7 @@ bool PooledMemory::can_accept(std::uint32_t host, Addr line, bool is_write,
     // flip happens inside the pool pump after the hosts stepped fail_at_),
     // but free of any cross-shard read.
     if (host_sees_dead(now) && r.device == fail_dev_) return true;
-    if (!fab_[host]->can_send_tx(r.device, now)) return false;
-    if (direct_) return credits_[host][r.sub] > 0;
-    return shared_ingress_[r.sub][host].size() +
-               tx_inflight_shared_[r.sub][host] <
-           kIngressDepth;
+    return credits_[host][r.sub] != 0 && fab_[host]->can_send_tx(r.device, now);
   }
   const fabric::Router::Route r = private_map_.route(t.local_line);
   if (!fab_[host]->can_send_tx(s_devs_ + r.device, now)) return false;
@@ -280,40 +372,17 @@ void PooledMemory::access(std::uint32_t host, Addr line, bool is_write, Cycle no
     bytes = link::kReadRequestBytes;
   }
 
-  fabric::Fabric& fab = *fab_[host];
-  if (direct_) {
-    const link::SendResult sr = fab.send_tx(fab_dev, bytes, now, 0);
-    msg.arrival = sr.at;
-    msg.poisoned = sr.poisoned;
-    if (shared) {
-      // Cross-shard: the pooled ingress belongs to the pool shard. The
-      // send consumed a flow-control credit; the pool returns it when it
-      // pops the message. sr.at >= now + quantum by the SerialPipe
-      // latency floor, so barrier delivery never arrives late.
-      assert(credits_[host][r.sub] > 0);
-      --credits_[host][r.sub];
-      mail_demand_[host].push_back({msg, r.sub});
-    } else {
-      priv_ingress_[host][r.sub].push_back(msg);
-      priv_wake_[host][r.sub] = std::min(priv_wake_[host][r.sub], msg.arrival);
-    }
+  if (shared) {
+    // The send consumes a flow-control credit for the pool-owned ingress;
+    // the pool returns it when it pops the message.
+    assert(credits_[host][r.sub] > 0);
+    --credits_[host][r.sub];
   } else {
-    WireMsg wm;
-    wm.kind = WireMsg::kDemand;
-    wm.is_write = is_write;
-    wm.shared = shared;
-    wm.sub = r.sub;
-    wm.slot = static_cast<std::uint32_t>(msg.token);
-    wm.line = r.local;
-    wm.page = msg.page;
-    fab.send_tx(fab_dev, bytes, now, alloc_wire(host, wm));
-    ++fabric_msgs_inflight_;
-    if (shared) {
-      ++tx_inflight_shared_[r.sub][host];
-    } else {
-      ++tx_inflight_priv_[host][r.sub];
-    }
+    ++tx_inflight_priv_[host][r.sub];
   }
+  fab_[host]->post_tx(fab_dev, bytes, now,
+                      wire(false, false, park_down(host, {msg, r.sub})));
+  take_down(host);
 }
 
 bool PooledMemory::start_txn(const Directory::Decision& d, const DeviceMsg& msg,
@@ -359,20 +428,8 @@ bool PooledMemory::pump_txn_sends(std::uint32_t t, Cycle now) {
     // The invalidation rides the target host's return path from the pooled
     // device — the same pipe as its read responses, so invalidation latency
     // is load- and topology-dependent.
-    fabric::Fabric& fab = *fab_[h];
-    if (!fab.can_send_rx(x.sdev, now)) continue;
-    if (direct_) {
-      const link::SendResult sr =
-          fab.send_rx(x.sdev, link::kReadRequestBytes, now, 0);
-      mail_inval_[h].push_back({sr.at, t, x.sdev, dirty});
-    } else {
-      WireMsg wm;
-      wm.kind = WireMsg::kInval;
-      wm.dirty = dirty;
-      wm.txn = t;
-      fab.send_rx(x.sdev, link::kReadRequestBytes, now, alloc_wire(h, wm));
-      ++fabric_msgs_inflight_;
-    }
+    if (!can_ship(h, x.sdev, now)) continue;
+    ship_up(h, x.sdev, link::kReadRequestBytes, now, wire(true, dirty, t));
     ++ctr_.invals_sent;
     if (dirty) {
       x.send_dirty &= ~bit;
@@ -400,78 +457,11 @@ void PooledMemory::admit_shared(dram::Controller& ctrl, const DeviceMsg& msg,
   ++host_shared_ctr_[host].shared;
 }
 
-void PooledMemory::pump_wire_deliveries(Cycle now) {
-  for (std::uint32_t h = 0; h < n_hosts_; ++h) {
-    fabric::Fabric& fab = *fab_[h];
-    fab.tick(now);
-    for (const fabric::Delivery& d : fab.tx_deliveries()) {
-      const std::uint32_t m = static_cast<std::uint32_t>(d.payload);
-      const WireMsg wm = wire_pool_[h][m];
-      free_wire_[h].push_back(m);
-      --fabric_msgs_inflight_;
-      if (wm.kind == WireMsg::kDemand) {
-        DeviceMsg msg;
-        msg.arrival = d.arrival;
-        msg.local_line = wm.line;
-        msg.page = wm.page;
-        msg.token = wm.slot;
-        msg.is_write = wm.is_write;
-        msg.poisoned = d.poisoned;
-        if (wm.shared && dead_ && wm.sub / spd_ == fail_dev_) {
-          // In flight when the device died: bounce at delivery.
-          --tx_inflight_shared_[wm.sub][h];
-          bounce_msg(h, msg, std::max(d.arrival, now));
-        } else if (wm.shared) {
-          shared_ingress_[wm.sub][h].push_back(msg);
-          shared_wake_[wm.sub] = std::min(shared_wake_[wm.sub], d.arrival);
-          --tx_inflight_shared_[wm.sub][h];
-        } else {
-          priv_ingress_[h][wm.sub].push_back(msg);
-          priv_wake_[h][wm.sub] = std::min(priv_wake_[h][wm.sub], d.arrival);
-          --tx_inflight_priv_[h][wm.sub];
-        }
-      } else {
-        assert(wm.kind == WireMsg::kAck);
-        dev_acks_.push_back({d.arrival, wm.txn, wm.dirty});
-      }
-    }
-    fab.tx_deliveries().clear();
-    for (const fabric::Delivery& d : fab.rx_deliveries()) {
-      const std::uint32_t m = static_cast<std::uint32_t>(d.payload);
-      const WireMsg wm = wire_pool_[h][m];
-      free_wire_[h].push_back(m);
-      --fabric_msgs_inflight_;
-      if (wm.kind == WireMsg::kResp) {
-        finish_read(h, wm.slot, d.arrival, wm.poisoned || d.poisoned);
-      } else {
-        assert(wm.kind == WireMsg::kInval);
-        host_invals_[h].push_back(
-            {d.arrival, wm.txn, txns_[wm.txn].sdev, wm.dirty});
-      }
-    }
-    fab.rx_deliveries().clear();
-  }
-}
-
-Cycle PooledMemory::tick(Cycle now) {
-  assert(!direct_);
-  pump_wire_deliveries(now);
-  Cycle wake = pool_tick(now);
-  for (std::uint32_t h = 0; h < n_hosts_; ++h) {
-    wake = std::min(wake, host_tick(h, now));
-  }
-  // Switched planes are bounded after every phase has run, not by their
-  // tick's return: responses, invalidations and acks sent above entered a
-  // plane after it ticked, and nothing else wakes for them.
-  for (const auto& f : fab_) {
-    const Cycle head = f->earliest_head();
-    if (head != kNoCycle) wake = std::min(wake, std::max(head, now + 1));
-  }
-  return wake;
-}
-
 Cycle PooledMemory::pool_tick(Cycle now) {
   Cycle wake = kNoCycle;
+  for (std::uint32_t h = 0; h < n_hosts_; ++h) {
+    mature_credits(pending_port_credits_[h], port_credits_[h], now, wake);
+  }
   if (avail_on_) wake = std::min(wake, pump_pool_failure(now));
 
   // -- Phase B: acks arriving at pooled devices retire invalidations. -----
@@ -509,7 +499,7 @@ Cycle PooledMemory::pool_tick(Cycle now) {
   //    Only a transaction with an invalidation left to send, or with every
   //    ack in but a full controller, retries next cycle; one waiting on
   //    acks sleeps, because every ack's delivery arms its own wake (the
-  //    dev_acks_ bound below, barrier mail, the switched planes' bound). --
+  //    dev_acks_ bound below, or the barrier mail that carried it). ------
   bool txn_retry = false;
   for (std::uint32_t t = 0; t < txns_.size(); ++t) {
     CohTxn& x = txns_[t];
@@ -619,11 +609,9 @@ Cycle PooledMemory::pool_tick(Cycle now) {
       if (dd.pingpong) ++ctr_.pingpong_transitions;
       ctr_.recalls_dirty += std::popcount(dd.dirty_mask);
       q.pop_front();
-      if (direct_) {
-        // The pop frees the host's flow-control credit; the return rides
-        // the unloaded control latency of the response path.
-        mail_credit_[best].push_back({now + credit_lat_, sub});
-      }
+      // The pop frees the host's flow-control credit; the return rides the
+      // unloaded control latency of the response path.
+      mail_credit_[best].push_back({now + credit_lat_, sub});
       if (dd.needs_txn) {
         txn_retry = start_txn(dd, msg, best, sub, now) || txn_retry;
         continue;
@@ -682,44 +670,29 @@ Cycle PooledMemory::ship_shared_responses(std::uint32_t host, Cycle now) {
     return pending_rx_ready_[host];
   }
   Cycle wake = kNoCycle;
-  fabric::Fabric& fab = *fab_[host];
   auto& pending = pending_rx_[host];
   std::size_t kept = 0;
   for (std::size_t i = 0; i < pending.size(); ++i) {
     const PendingResponse p = pending[i];
     if (dead_ && p.device == fail_dev_) {
       // The data was read before the device died, but its return link is
-      // gone: the host port times out and synthesises a poison response.
-      // The engine pays the synthesised response's unloaded latency, which
-      // also keeps the bounce outside the quantum that produced it.
+      // gone: the host port times out and synthesises a poison response,
+      // paying the synthesised response's unloaded latency, which also
+      // keeps the bounce outside the quantum that produced it.
       ++avail_.bounced_reads;
-      const Cycle at = std::max(p.ready, now);
-      if (direct_) {
-        mail_comp_[host].push_back({at + bounce_rx_lat_, p.slot, true});
-      } else {
-        finish_read(host, p.slot, at, true);
-      }
+      mail_comp_[host].push_back(
+          {std::max(p.ready, now) + bounce_rx_lat_, p.slot, true});
       continue;
     }
-    if (p.ready > now || !fab.can_send_rx(p.device, now)) {
+    if (p.ready > now || !can_ship(host, p.device, now)) {
       pending[kept++] = p;
       continue;
     }
-    if (direct_) {
-      const link::SendResult sr =
-          fab.send_rx(p.device, link::kReadResponseBytes, now, 0);
-      mail_comp_[host].push_back({sr.at, p.slot, p.poisoned || sr.poisoned});
-    } else {
-      WireMsg wm;
-      wm.kind = WireMsg::kResp;
-      wm.slot = p.slot;
-      wm.poisoned = p.poisoned;
-      fab.send_rx(p.device, link::kReadResponseBytes, now, alloc_wire(host, wm));
-      ++fabric_msgs_inflight_;
-    }
+    ship_up(host, p.device, link::kReadResponseBytes, now,
+            wire(false, p.poisoned, p.slot));
   }
   pending.resize(kept);
-  pending_rx_ready_[host] = park_wake(fab, pending, now, wake);
+  pending_rx_ready_[host] = park_wake(*fab_[host], pending, now, wake);
   return wake;
 }
 
@@ -739,21 +712,20 @@ Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
   Cycle wake = kNoCycle;
   fabric::Fabric& fab = *fab_[host];
 
-  // Matured flow-control credits become usable (direct fabrics only).
-  if (!pending_credits_[host].empty()) {
-    auto& pc = pending_credits_[host];
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < pc.size(); ++i) {
-      const CreditMail c = pc[i];
-      if (c.at > now) {
-        pc[kept++] = c;
-        wake = std::min(wake, c.at);
-        continue;
-      }
-      ++credits_[host][c.sub];
+  // Switched planes forward (a direct link delivered at send time). Each
+  // forward off a shared device's landing port returns that port's credit
+  // to the pool across the device segment.
+  fab.tick(now);
+  take_down(host);
+  take_up(host);
+  for (std::uint32_t d = 0; d < s_devs_; ++d) {
+    for (std::uint32_t n = fab.take_landing_frees(d); n != 0; --n) {
+      mail_port_credit_[host].push_back({now + port_credit_lat_, d});
     }
-    pc.resize(kept);
   }
+
+  // Matured flow-control credits become usable.
+  mature_credits(pending_credits_[host], credits_[host], now, wake);
 
   // -- Phase E: private sub-channels (plain CxlMemory-style FIFO). --------
   for (std::uint32_t sub = 0; sub < p_subs_; ++sub) {
@@ -810,21 +782,11 @@ Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
         pending[kept++] = p;
         continue;
       }
-      if (direct_) {
-        const link::SendResult sr =
-            fab.send_rx(p.device, link::kReadResponseBytes, now, 0);
-        finish_read(host, p.slot, sr.at, p.poisoned || sr.poisoned);
-      } else {
-        WireMsg wm;
-        wm.kind = WireMsg::kResp;
-        wm.slot = p.slot;
-        wm.poisoned = p.poisoned;
-        fab.send_rx(p.device, link::kReadResponseBytes, now,
-                    alloc_wire(host, wm));
-        ++fabric_msgs_inflight_;
-      }
+      fab.post_rx(p.device, link::kReadResponseBytes, now,
+                  wire(false, p.poisoned, p.slot));
     }
     pending.resize(kept);
+    take_up(host);
     pending_rx_priv_ready_[host] = park_wake(fab, pending, now, wake);
   }
 
@@ -843,32 +805,30 @@ Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
       // A dirty recall ack carries the line back; a clean ack is control.
       const std::uint32_t bytes =
           iv.dirty ? link::kWriteMessageBytes : link::kReadRequestBytes;
-      if (direct_) {
-        const link::SendResult sr = fab.send_tx(iv.sdev, bytes, now, 0);
-        mail_ack_[host].push_back({sr.at, iv.txn, iv.dirty});
-      } else {
-        WireMsg wm;
-        wm.kind = WireMsg::kAck;
-        wm.dirty = iv.dirty;
-        wm.txn = iv.txn;
-        fab.send_tx(iv.sdev, bytes, now, alloc_wire(host, wm));
-        ++fabric_msgs_inflight_;
-      }
+      fab.post_tx(iv.sdev, bytes, now, wire(true, iv.dirty, iv.txn));
       ++host_ack_ctr_[host].acks_sent;
       ++host_ack_ctr_[host].invals_received;
     }
     invals.resize(kept);
+    take_down(host);
   }
+
+  // Every message in the head's planes, sent after this cycle's tick or
+  // not, waits at some ingress head: their earliest arrival bounds the
+  // next forward.
+  const Cycle head = fab.earliest_head();
+  if (head != kNoCycle) wake = std::min(wake, std::max(head, now + 1));
   return wake;
 }
 
 Cycle PooledMemory::exchange_shard_mail(Cycle now) {
   Cycle effect = kNoCycle;
-  // Demands and acks first (into the pool shard): an onset-straggler
-  // demand bounced here appends its completion to mail_comp_, which the
-  // second loop then delivers in the same exchange.
+  // Into the pool shard first: an onset-straggler demand bounced here
+  // appends its completion to mail_comp_, which the second loop then
+  // delivers in the same exchange.
   for (std::uint32_t h = 0; h < n_hosts_; ++h) {
     for (const DemandMail& dm : mail_demand_[h]) {
+      check_on_time("demand", h, dm.msg.arrival, now);
       if (dead_ && dm.sub / spd_ == fail_dev_) {
         // Sent before the host shard observed the death: bounce at the
         // barrier and return the credit (the queue it aimed for is gone).
@@ -881,28 +841,42 @@ Cycle PooledMemory::exchange_shard_mail(Cycle now) {
       effect = std::min(effect, dm.msg.arrival);
     }
     mail_demand_[h].clear();
-    for (const AckMail& am : mail_ack_[h]) {
-      dev_acks_.push_back({am.arrival, am.txn, am.dirty});
+    for (const DevAck& am : mail_ack_[h]) {
+      check_on_time("ack", h, am.arrival, now);
+      dev_acks_.push_back(am);
       effect = std::min(effect, am.arrival);
     }
     mail_ack_[h].clear();
+    for (const CreditMail& cr : mail_port_credit_[h]) {
+      check_on_time("switch-port credit", h, cr.at, now);
+      pending_port_credits_[h].push_back(cr);
+      effect = std::min(effect, cr.at);
+    }
+    mail_port_credit_[h].clear();
   }
   for (std::uint32_t h = 0; h < n_hosts_; ++h) {
     for (const CompMail& cm : mail_comp_[h]) {
+      check_on_time("completion", h, cm.done, now);
       finish_read(h, cm.slot, cm.done, cm.poisoned);
       effect = std::min(effect, cm.done);
     }
     mail_comp_[h].clear();
     for (const CreditMail& cr : mail_credit_[h]) {
+      check_on_time("credit", h, cr.at, now);
       pending_credits_[h].push_back(cr);
       effect = std::min(effect, cr.at);
     }
     mail_credit_[h].clear();
-    for (const InvalMail& im : mail_inval_[h]) {
-      host_invals_[h].push_back({im.arrival, im.txn, im.sdev, im.dirty});
-      effect = std::min(effect, im.arrival);
+    // Responses and invalidations land on the host's side of the head: a
+    // direct link delivers them at once, a switch queues them at the
+    // device's ingress port for the host shard's next tick.
+    for (const fabric::FabricMsg& m : mail_up_[h]) {
+      check_on_time("uplink", h, m.ready, now);
+      fab_[h]->land_rx(m);
+      effect = std::min(effect, m.ready);
     }
-    mail_inval_[h].clear();
+    mail_up_[h].clear();
+    take_up(h);
   }
   return effect;
 }
@@ -913,15 +887,11 @@ void PooledMemory::bounce_msg(std::uint32_t host, const DeviceMsg& msg,
     ++avail_.lost_writes;
   } else {
     ++avail_.bounced_reads;
-    if (direct_) {
-      // The pool shard may not complete a host-owned read slot directly;
-      // the poison response crosses back as completion mail, paying the
-      // synthesised response's unloaded latency.
-      mail_comp_[host].push_back(
-          {at + bounce_rx_lat_, static_cast<std::uint32_t>(msg.token), true});
-    } else {
-      finish_read(host, static_cast<std::uint32_t>(msg.token), at, true);
-    }
+    // The pool shard may not complete a host-owned read slot directly; the
+    // poison response crosses back as completion mail, paying the
+    // synthesised response's unloaded latency.
+    mail_comp_[host].push_back(
+        {at + bounce_rx_lat_, static_cast<std::uint32_t>(msg.token), true});
   }
 }
 
@@ -937,7 +907,7 @@ void PooledMemory::pool_fail_onset(Cycle now) {
     for (std::uint32_t h = 0; h < n_hosts_; ++h) {
       for (const DeviceMsg& m : shared_ingress_[sub][h]) {
         bounce_msg(h, m, std::max(m.arrival, now));
-        if (direct_) mail_credit_[h].push_back({now + credit_lat_, sub});
+        mail_credit_[h].push_back({now + credit_lat_, sub});
       }
       shared_ingress_[sub][h].clear();
     }
@@ -1045,8 +1015,10 @@ std::string PooledMemory::pending_work() const {
   for (const auto& per_host : shared_ingress_) shared_ingress += total(per_host);
   std::uint64_t priv_ingress = 0;
   for (const auto& per_sub : priv_ingress_) priv_ingress += total(per_sub);
+  std::uint64_t fabric_msgs = 0;
+  for (const auto& f : fab_) fabric_msgs += f->queued_msgs();
   note("inflight_reads", reads);
-  note("fabric_msgs", fabric_msgs_inflight_);
+  note("fabric_msgs", fabric_msgs);
   note("shared_ingress", shared_ingress);
   note("priv_ingress", priv_ingress);
   note("pending_rx", total(pending_rx_));
@@ -1060,8 +1032,8 @@ std::string PooledMemory::pending_work() const {
   // after a barrier exchange, which is the only place the engine asks.
   // Maturing flow-control credits are deliberately excluded — they are
   // budget, not work, and their maturation is deterministic regardless.
-  note("mail", total(mail_demand_) + total(mail_ack_) + total(mail_comp_) +
-                   total(mail_credit_) + total(mail_inval_));
+  note("mail", total(mail_demand_) + total(mail_ack_) + total(mail_port_credit_) +
+                   total(mail_up_) + total(mail_comp_) + total(mail_credit_));
   note("completions", total(out_));
   return out;
 }

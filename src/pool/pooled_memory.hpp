@@ -19,34 +19,36 @@
 // DRAM before the parked access is admitted.
 //
 // Determinism contract (same as mem::MemorySystem): can_accept() is pure;
-// all state mutates inside access()/tick(); every action is keyed on
-// message arrival cycles and fixed scan orders (sub-channel index, then
-// host index), never on how often tick() was polled; tick() returns a
-// conservative wake bound (state that can act on its own retries at
-// now + 1; a head parked behind a directory lock, or a transaction waiting
-// on acks, wakes when the unlock or the ack arrives), so the event-driven
-// and tick-every-cycle schedulers agree bit-for-bit.
+// all state mutates inside access() and the shard pumps; every action is
+// keyed on message arrival cycles and fixed scan orders (sub-channel index,
+// then host index), never on how often a pump was polled; each pump
+// returns a conservative wake bound (state that can act on its own retries
+// at now + 1; a head parked behind a directory lock, or a transaction
+// waiting on acks, wakes when the unlock or the ack arrives), so the
+// event-driven and tick-every-cycle schedulers agree bit-for-bit.
 //
-// One pump per fabric. Switched pools run tick(), the sequential per-cycle
-// pump that moves wire cookies through the switch planes. Direct-fabric
-// pools run only as shard-owned halves under sim::PooledSystem's
-// conservative-lookahead quantum engine (DESIGN.md §14, sim/shard.hpp):
+// One pump: every pool runs as shard-owned halves under
+// sim::PooledSystem's conservative-lookahead quantum engine (DESIGN.md
+// §14, sim/shard.hpp), on direct and switched heads alike. The heads are
+// cut at the shared devices' ports:
 //
-//   * host shard h owns: its slice's admission (can_accept/access), the
-//     private-device path end to end (ingress, DRAM, response shipping),
-//     its read-slot table and completion queue, invalidation acking, and a
-//     per-sub credit count standing in for the pooled ingress occupancy it
-//     can no longer read directly;
-//   * the pool shard owns: pooled ingress/DRAM/directories, coherence
-//     transactions, recall writebacks, shared response shipping, and the
-//     device-failure lifecycle.
+//   * host shard h owns its head fab_[h] (tx pipes, switch planes,
+//     private-device uplinks), its slice's admission (can_accept/access),
+//     the private-device path end to end, its read-slot table and
+//     completion queue, invalidation acking, and per-sub credits standing
+//     in for the pooled ingress occupancy it cannot read;
+//   * the pool shard owns the shared devices' uplink pipes, pooled
+//     ingress/DRAM/directories, coherence transactions, recall writebacks,
+//     shared response shipping, the device-failure lifecycle, and
+//     per-(host, shared device) credits standing in for the occupancy of a
+//     switched head's landing port.
 //
-// Cross-shard traffic (demands, acks, completions, invalidations, credit
-// returns) travels through per-host mailboxes flushed by the coordinator
-// at quantum barriers via exchange_shard_mail(). Every such message is
-// stamped at least min_cross_shard_latency() cycles in the future by
-// construction (it rides a SerialPipe whose delivery is >= now + unloaded
-// latency), which is exactly the engine's quantum.
+// Cross-shard traffic (demands, acks, responses, invalidations, bounces,
+// credit returns) travels through per-host mailboxes flushed by the
+// coordinator at quantum barriers via exchange_shard_mail(). Every such
+// message is stamped at least min_cross_shard_latency() cycles in the
+// future by construction (it crosses a device segment, whose delivery is
+// >= send + unloaded latency), which is exactly the engine's quantum.
 #pragma once
 
 #include <cstdint>
@@ -97,11 +99,6 @@ class PooledMemory {
   void access(std::uint32_t host, Addr line, bool is_write, Cycle now,
               std::uint64_t token);
 
-  /// Advance everything (switch planes, directories, coherence
-  /// transactions, DRAM); returns a conservative wake bound. The switched
-  /// pump only — direct fabrics run the shard halves below instead.
-  Cycle tick(Cycle now);
-
   void set_force_tick(bool force) { force_tick_ = force; }
 
   std::vector<HostCompletion>& completions(std::uint32_t host) {
@@ -109,15 +106,12 @@ class PooledMemory {
   }
 
   // ---- sharded engine (DESIGN.md §14) ----------------------------------
-  /// Whether this pool can run under the quantum engine (direct fabrics
-  /// only: a switch's arbitration state spans both directions of every
-  /// host, so it cannot be split into independently-pumped shards).
-  bool engine_capable() const { return direct_; }
   /// Smallest latency any cross-shard message can experience — the
-  /// engine's quantum. Minimum over hosts of the unloaded one-way cost of
-  /// the smallest message in each direction; SerialPipe delivery is always
-  /// >= now + unloaded latency (backlog, faults and down-training only add
-  /// to it), so this is a sound lookahead.
+  /// engine's quantum: the unloaded device-segment latency of the smallest
+  /// message (Fabric::unloaded_device_hop_cycles). Every cross-shard
+  /// message crosses that segment, and SerialPipe delivery is always >= now
+  /// + unloaded latency (backlog, faults and down-training only add to it),
+  /// so this is a sound lookahead.
   Cycle min_cross_shard_latency() const;
   /// Pool-shard pump: device failure lifecycle, ack retirement, coherence
   /// transactions, pooled sub-channels, shared response shipping.
@@ -129,13 +123,15 @@ class PooledMemory {
   /// every mailbox into its destination shard's structures in fixed
   /// (host-index, FIFO) order. Returns the earliest cycle at which any
   /// delivered message takes effect (kNoCycle if all mailboxes were
-  /// empty), so the engine can skip whole idle quanta.
+  /// empty), so the engine can skip whole idle quanta. Throws
+  /// std::logic_error if a message would take effect before `now`: the
+  /// quantum outran the cross-shard latency floor.
   Cycle exchange_shard_mail(Cycle now);
 
   /// True once no read, coherence message or writeback is in flight
   /// anywhere (the drain condition; implies invals_sent == invals_acked).
   /// Covers undrained completions and mailbox contents, so it is only
-  /// meaningful between ticks (sequential) or at barriers (engine).
+  /// meaningful at barriers.
   bool quiescent() const { return pending_work().empty(); }
   /// The structures still holding work, as "name=count" items (empty when
   /// quiescent) — the diagnostic for a wedged drain.
@@ -223,29 +219,10 @@ class PooledMemory {
     Addr local_line = 0;
   };
 
-  // Wire cookie for switched fabrics (direct fabrics deliver analytically).
-  struct WireMsg {
-    enum Kind : std::uint8_t { kDemand, kAck, kResp, kInval } kind = kDemand;
-    bool is_write = false;  ///< kDemand.
-    bool shared = false;    ///< kDemand: pooled vs private class.
-    bool dirty = false;     ///< kAck / kInval.
-    bool poisoned = false;  ///< kResp: request-side poison (token bit 63).
-    std::uint32_t sub = 0;  ///< kDemand: class-local sub-channel.
-    std::uint32_t txn = 0;  ///< kAck / kInval.
-    std::uint32_t slot = 0; ///< kResp / kDemand(read).
-    Addr line = 0;          ///< kDemand: sub-local line.
-    Addr page = 0;          ///< kDemand: shared page id.
-  };
-
-  // ---- cross-shard mailbox messages (direct fabrics only) --------------
+  // ---- cross-shard mailbox messages ------------------------------------
   struct DemandMail {
     DeviceMsg msg;
-    std::uint32_t sub = 0;  ///< Shared sub-channel.
-  };
-  struct AckMail {
-    Cycle arrival = 0;
-    std::uint32_t txn = 0;
-    bool dirty = false;
+    std::uint32_t sub = 0;  ///< Class-local sub-channel.
   };
   struct CompMail {
     Cycle done = 0;
@@ -254,18 +231,8 @@ class PooledMemory {
   };
   struct CreditMail {
     Cycle at = 0;
-    std::uint32_t sub = 0;
+    std::uint32_t sub = 0;  ///< Shared sub-channel, or shared device.
   };
-  struct InvalMail {
-    Cycle arrival = 0;
-    std::uint32_t txn = 0;
-    std::uint32_t sdev = 0;
-    bool dirty = false;
-  };
-
-  std::uint32_t shared_sub_of(std::uint32_t device, std::uint32_t sub_in_dev) const {
-    return device * spd_ + sub_in_dev;
-  }
 
   /// DRAM read tokens pack (request-poison, host, slot) so the pool shard
   /// never writes into a host-owned read-slot table at admission time.
@@ -274,11 +241,10 @@ class PooledMemory {
     return (std::uint64_t{poisoned} << 63) | (std::uint64_t{host} << 32) | slot;
   }
 
-  /// Whether `host`'s shard sees the planned surprise removal at `now`.
-  /// Matches the sequential pump's visibility exactly: dead_ flips inside
-  /// the pool pump at fail_at_, after the hosts stepped that cycle — so a
-  /// host first observes the death at fail_at_ + 1. A pure function of
-  /// config so host shards never read the pool-owned dead_ flag.
+  /// Whether `host`'s shard sees the planned surprise removal at `now`:
+  /// dead_ flips inside the pool pump at fail_at_, so a host first
+  /// observes the death at fail_at_ + 1. A pure function of config so host
+  /// shards never read the pool-owned dead_ flag.
   bool host_sees_dead(Cycle now) const {
     return avail_on_ && fail_at_ != kNoCycle && now > fail_at_;
   }
@@ -287,24 +253,38 @@ class PooledMemory {
   void finish_read(std::uint32_t host, std::uint32_t slot, Cycle arrival,
                    bool poisoned);
   std::uint32_t alloc_txn();
-  std::uint32_t alloc_wire(std::uint32_t host, const WireMsg& msg);
   /// Both return true while the transaction still has an invalidation to
   /// send (its target's return path was out of credit).
   bool start_txn(const Directory::Decision& d, const DeviceMsg& msg,
                  std::uint32_t host, std::uint32_t shared_sub, Cycle now);
   bool pump_txn_sends(std::uint32_t t, Cycle now);
 
-  /// Phase A: switched-fabric wire deliveries.
-  void pump_wire_deliveries(Cycle now);
+  // ---- head traffic. Host side: a message posted on a head surfaces in
+  // its deliveries (at once on a direct link, at the tick that forwards it
+  // off its last hop on a switched one), and every post or tick is
+  // followed by a take, so delivery vectors are empty between calls.
+  /// Hold a demand host-side while it crosses the head; returns its index.
+  std::uint32_t park_down(std::uint32_t host, const DemandMail& dm);
+  /// Route `host`'s tx deliveries: shared devices' into the pool's
+  /// mailboxes, private devices' into their ingress.
+  void take_down(std::uint32_t host);
+  /// Route `host`'s rx deliveries: completions and invalidations.
+  void take_up(std::uint32_t host);
+  // Pool side: a shared device's uplink pipe is the pool's; what it sends
+  // lands on the host's side of the head at the barrier.
+  bool can_ship(std::uint32_t host, std::uint32_t sdev, Cycle now) const;
+  void ship_up(std::uint32_t host, std::uint32_t sdev, std::uint32_t bytes,
+               Cycle now, std::uint64_t payload);
+
   /// Admit a shared demand into its sub-channel's DRAM (directly or as the
   /// completion of a parked transaction).
   void admit_shared(dram::Controller& ctrl, const DeviceMsg& msg,
                     std::uint32_t host, Cycle now);
-  /// Phase F, shared half: ship pooled-device responses up `host`'s return
-  /// path (direct: into the completion mailbox).
+  /// Phase F, shared half: ship pooled-device responses up `host`'s head.
   Cycle ship_shared_responses(std::uint32_t host, Cycle now);
   /// Wake bound of the responses still parked after a shipping pass, folded
-  /// into `wake`; returns their earliest ready cycle.
+  /// into `wake`; returns their earliest ready cycle. A ready response
+  /// retries when its uplink pipe has credit again, or next cycle.
   static Cycle park_wake(const fabric::Fabric& fab,
                          const std::vector<PendingResponse>& pending, Cycle now,
                          Cycle& wake);
@@ -315,10 +295,10 @@ class PooledMemory {
   Cycle pump_pool_failure(Cycle now);
   void pool_fail_onset(Cycle now);
   /// Poison-complete a read headed for (or stranded at) the dead device;
-  /// absorb a write. `host` owns the message's read slot. The engine pays
-  /// an extra unloaded response latency on the bounce (the host port's
-  /// timeout synthesises the error response), which also keeps the bounce
-  /// completion outside the quantum it was created in.
+  /// absorb a write. `host` owns the message's read slot. The bounce pays
+  /// an extra unloaded response latency (the host port's timeout
+  /// synthesises the error response), which also keeps its completion
+  /// outside the quantum it was created in.
   void bounce_msg(std::uint32_t host, const DeviceMsg& msg, Cycle at);
 
   PoolConfig cfg_;
@@ -329,7 +309,6 @@ class PooledMemory {
   std::uint32_t s_subs_ = 0;    ///< s_devs_ * spd_.
   std::uint32_t p_subs_ = 0;    ///< p_devs_ * spd_.
   bool force_tick_ = false;
-  bool direct_ = false;  ///< Direct fabric: mailboxes + credits, no wires.
 
   // Address decode: stage 1 per host (shared-window range decode), stage 2
   // per device class. Lookups are pure (no mutable state), so host shards
@@ -338,9 +317,8 @@ class PooledMemory {
   placement::AddressMap shared_map_;   ///< kPage over pooled devices.
   placement::AddressMap private_map_;  ///< kLine over private devices.
 
-  // Per host. A head's tx pipe belongs to the host shard, its rx pipes to
-  // whichever side ships on them (pool for shared devices, host for
-  // private) — CxlLink keeps fully independent tx/rx state.
+  // Per host. A head belongs to its host shard, except the shared devices'
+  // uplink pipes, which the pool shard ships on (Fabric::inject_rx).
   std::vector<std::unique_ptr<fabric::Fabric>> fab_;
 
   // DRAM: pooled controllers are global (pool shard), private ones per
@@ -360,8 +338,13 @@ class PooledMemory {
   /// its head.
   std::vector<std::vector<std::uint64_t>> parked_at_;
   std::vector<std::vector<Cycle>> priv_wake_;    ///< [host][sub].
-  std::vector<std::vector<std::uint32_t>> tx_inflight_shared_;  ///< [sub][host].
-  std::vector<std::vector<std::uint32_t>> tx_inflight_priv_;    ///< [host][sub].
+  /// [host][sub]: private demands still crossing the head (they own their
+  /// ingress slot from send time).
+  std::vector<std::vector<std::uint32_t>> tx_inflight_priv_;
+  /// Per host: demands crossing the head, indexed by their wire payload,
+  /// with a free list (host shard).
+  std::vector<std::vector<DemandMail>> down_msgs_;
+  std::vector<std::vector<std::uint32_t>> down_free_;
 
   // Per-host read slots and return-path queues (host shard).
   std::vector<std::vector<InflightRead>> inflight_;     ///< [host][slot].
@@ -387,27 +370,28 @@ class PooledMemory {
   std::vector<DevAck> dev_acks_;
   std::vector<PendingWb> pending_wbs_;
 
-  // Switched-fabric cookie pools, per host.
-  std::vector<std::vector<WireMsg>> wire_pool_;
-  std::vector<std::vector<std::uint32_t>> free_wire_;
-  std::uint64_t fabric_msgs_inflight_ = 0;
-
   // ---- engine mailboxes + flow-control credits -------------------------
   // Outboxes are appended by their owning shard during a quantum and
-  // drained only at barriers, so they need no locking. Credits replace the
-  // host's direct read of pooled ingress occupancy: each (host, sub) pair
-  // starts with the ingress depth, a send consumes one, and the pool
-  // returns it with a credit message stamped one unloaded response-path
-  // control latency after the pop.
+  // drained only at barriers, so they need no locking. Credits replace
+  // reads across the cut. Each (host, shared sub) pair starts with the
+  // pooled ingress depth; a send consumes one, and the pool's pop returns
+  // it one unloaded response-path control latency later. Each (host,
+  // shared device) pair starts with the landing port's depth (unbounded on
+  // a direct link); a ship consumes one, and the host's switch returns it
+  // one device-segment latency after forwarding the message on.
   std::vector<std::vector<DemandMail>> mail_demand_;   ///< [host] -> pool.
-  std::vector<std::vector<AckMail>> mail_ack_;         ///< [host] -> pool.
+  std::vector<std::vector<DevAck>> mail_ack_;          ///< [host] -> pool.
+  std::vector<std::vector<CreditMail>> mail_port_credit_;  ///< [host] -> pool.
+  std::vector<std::vector<fabric::FabricMsg>> mail_up_;    ///< pool -> [host].
   std::vector<std::vector<CompMail>> mail_comp_;       ///< pool -> [host].
   std::vector<std::vector<CreditMail>> mail_credit_;   ///< pool -> [host].
-  std::vector<std::vector<InvalMail>> mail_inval_;     ///< pool -> [host].
   std::vector<std::vector<CreditMail>> pending_credits_;  ///< Delivered, maturing.
-  std::vector<std::vector<std::uint32_t>> credits_;    ///< [host][shared sub].
-  Cycle credit_lat_ = 1;     ///< Pop -> credit visible at the host.
-  Cycle bounce_rx_lat_ = 1;  ///< Extra response latency on engine bounces.
+  std::vector<std::vector<std::uint64_t>> credits_;    ///< [host][shared sub].
+  std::vector<std::vector<CreditMail>> pending_port_credits_;  ///< Pool-side.
+  std::vector<std::vector<std::uint64_t>> port_credits_;  ///< [host][shared dev].
+  Cycle credit_lat_ = 1;       ///< Pop -> credit visible at the host.
+  Cycle port_credit_lat_ = 1;  ///< Forward -> credit visible at the pool.
+  Cycle bounce_rx_lat_ = 1;    ///< Extra response latency on bounces.
 
   // Device-failure state (DESIGN.md §13). `dead_` flips only inside the
   // pool pump at the planned cycle — pump_pool_failure() returns fail_at_

@@ -25,8 +25,7 @@ PooledSystem::PooledSystem(const pool::PoolConfig& cfg, std::uint64_t seed)
   // one (DESIGN.md §14): a declaration below the true minimum would
   // silently waste lookahead, one above it would let a message arrive
   // inside the quantum that sent it and break the byte-identical contract.
-  // Switched fabrics never run the engine, so their declaration is inert.
-  if (memory_->engine_capable() && cfg_.shard_min_latency_cycles != 0) {
+  if (cfg_.shard_min_latency_cycles != 0) {
     const Cycle derived = memory_->min_cross_shard_latency();
     const Cycle declared = cfg_.shard_min_latency_cycles;
     if (declared < derived) {
@@ -62,10 +61,6 @@ PooledSystem::PooledSystem(const pool::PoolConfig& cfg, std::uint64_t seed)
     slices_.push_back(std::move(s));
   }
   register_metrics();
-}
-
-Cycle PooledSystem::lookahead() const {
-  return memory_->engine_capable() ? memory_->min_cross_shard_latency() : 0;
 }
 
 void PooledSystem::fetch(Slice& s, std::uint32_t h) {
@@ -188,34 +183,6 @@ void PooledSystem::drain_completions(std::uint32_t h) {
   done.clear();
 }
 
-void PooledSystem::step(Cycle now) {
-  for (std::uint32_t h = 0; h < cfg_.n_hosts; ++h) {
-    if (tick_every_cycle_ || !slices_[h].asleep(now)) step_slice(h, now);
-  }
-  mem_wake_ = memory_->tick(now);
-  for (std::uint32_t h = 0; h < cfg_.n_hosts; ++h) drain_completions(h);
-}
-
-Cycle PooledSystem::next_event_after(Cycle now) const {
-  Cycle next = mem_wake_;
-  for (const Slice& s : slices_) next = std::min(next, s.wake_after(now));
-  return next;
-}
-
-PooledStats PooledSystem::run(std::uint64_t warmup_instr,
-                              std::uint64_t measure_instr) {
-  budget_ = warmup_instr + measure_instr;
-  memory_->set_force_tick(tick_every_cycle_);
-  if (memory_->engine_capable()) return run_quantum(warmup_instr);
-  if (workers_ > 1) {
-    throw std::invalid_argument(
-        "sim::PooledSystem: shard workers require a direct fabric (a switch "
-        "arbitrates all hosts in one shared structure and cannot be sharded)");
-  }
-  effective_workers_ = 1;
-  return run_sequential(warmup_instr);
-}
-
 bool PooledSystem::track_window(std::uint64_t warmup_instr, Cycle at) {
   if (!window_open_) {
     bool all_warm = true;
@@ -245,19 +212,6 @@ bool PooledSystem::track_window(std::uint64_t warmup_instr, Cycle at) {
   return window_closed_;
 }
 
-PooledStats PooledSystem::run_sequential(std::uint64_t warmup_instr) {
-  const bool force = tick_every_cycle_;
-  Cycle now = 0;
-  while (true) {
-    step(now);
-    if (track_window(warmup_instr, now) && memory_->quiescent()) break;
-    const Cycle next = next_event_after(now);
-    if (next == kNoCycle) throw_lost_wake(now);
-    now = force ? now + 1 : std::max(next, now + 1);
-  }
-  return assemble_stats(now);
-}
-
 // Sharded quantum engine (DESIGN.md §14). Shard 0 is the pool side —
 // the heaviest partition, owned by the coordinator so its pump overlaps
 // the workers' host pumps; shards 1..N are the host slices. Inside a
@@ -271,7 +225,10 @@ PooledStats PooledSystem::run_sequential(std::uint64_t warmup_instr) {
 // the worker count. Idle gaps are skipped in whole quanta (jumps round
 // down to the barrier grid) so the event-driven and tick-every-cycle
 // schedules visit the same barriers and agree byte-for-byte.
-PooledStats PooledSystem::run_quantum(std::uint64_t warmup_instr) {
+PooledStats PooledSystem::run(std::uint64_t warmup_instr,
+                              std::uint64_t measure_instr) {
+  budget_ = warmup_instr + measure_instr;
+  memory_->set_force_tick(tick_every_cycle_);
   const bool force = tick_every_cycle_;
   const Cycle q = memory_->min_cross_shard_latency();
   const std::size_t n_shards = static_cast<std::size_t>(cfg_.n_hosts) + 1;

@@ -8,33 +8,26 @@
 // private region into the shared pooled window (with a hot contended
 // subset), which is what exercises the coherence directory.
 //
-// Two pumps:
+// One pump, the sharded quantum engine (DESIGN.md §14), on direct and
+// switched fabrics alike: the system is partitioned into one pool shard
+// plus one shard per host slice, each pumped independently inside quanta
+// of Q = PooledMemory::min_cross_shard_latency() cycles, with mailboxes
+// drained at the barrier between quanta. One worker (the default) runs
+// every shard inline on the calling thread; set_workers(N) pumps shards on
+// N threads. The schedule of (shard, cycle) work and every barrier
+// decision is a pure function of simulation state — never of the worker
+// count — so every worker count produces byte-identical stats.
 //
-//  * Direct fabrics run under the sharded quantum engine (DESIGN.md §14):
-//    the system is partitioned into one pool shard plus one shard per host
-//    slice, each pumped independently inside quanta of Q =
-//    PooledMemory::min_cross_shard_latency() cycles, with mailboxes drained
-//    at the barrier between quanta. One worker (the default) runs every
-//    shard inline on the calling thread; set_workers(N) pumps shards on N
-//    threads. The schedule of (shard, cycle) work and every barrier
-//    decision is a pure function of simulation state — never of the worker
-//    count — so every worker count produces byte-identical stats.
-//  * Switched fabrics keep the sequential per-cycle pump: a switch
-//    arbitrates both directions of every host in one shared structure, so
-//    it cannot be split into independently-pumped shards. Requesting more
-//    than one worker on a switched pool throws.
-//
-// Determinism (both pumps): slices are stepped in host order. A slice that
-// retires or is backpressured arms a now+1 wake; a slice stalled on a
-// load->load dependency or a full read window sleeps until its earliest
-// slot landing (Slice::next_done, lowered by every drained completion),
-// because only the sweep that frees a slot can end either stall. On resume
-// it counts every skipped cycle as that stall, so the stall counters are
-// identical whether the scheduler runs event-driven or in lockstep
-// (set_tick_every_cycle, which steps every slice every cycle); event
-// skipping only compresses idle gaps — the engine additionally rounds skips
-// down to quantum boundaries so both modes observe every barrier predicate
-// transition at the same barrier.
+// Determinism: a slice that retires or is backpressured arms a now+1
+// wake; a slice stalled on a load->load dependency or a full read window
+// sleeps until its earliest slot landing (Slice::next_done, lowered by
+// every drained completion), because only the sweep that frees a slot can
+// end either stall. On resume it counts every skipped cycle as that stall,
+// so the stall counters are identical whether the scheduler runs
+// event-driven or in lockstep (set_tick_every_cycle, which steps every
+// slice every cycle); event skipping only compresses idle gaps, and skips
+// round down to quantum boundaries so both modes observe every barrier
+// predicate transition at the same barrier.
 #pragma once
 
 #include <cstdint>
@@ -78,14 +71,12 @@ class PooledSystem {
   void set_tick_every_cycle(bool on) { tick_every_cycle_ = on; }
 
   /// Request N shard workers for the quantum engine (clamped to the shard
-  /// count, n_hosts + 1). The default 1 pumps every shard inline. Throws
-  /// from run() when N > 1 on a switched (engine-incapable) pool.
+  /// count, n_hosts + 1). The default 1 pumps every shard inline.
   void set_workers(std::uint32_t n) { workers_ = n == 0 ? 1 : n; }
-  /// Workers actually used by the last run() (1 for the sequential pump).
+  /// Workers actually used by the last run().
   std::uint32_t effective_workers() const { return effective_workers_; }
-  /// The engine's conservative lookahead in cycles (0 when the fabric is
-  /// switched and the engine cannot run).
-  Cycle lookahead() const;
+  /// The engine's conservative lookahead in cycles.
+  Cycle lookahead() const { return memory_->min_cross_shard_latency(); }
   /// Summed profiler totals of the worker threads of the last run (the
   /// coordinator's phases are in its own thread-local totals).
   const obs::prof::Totals& worker_prof_totals() const {
@@ -149,18 +140,13 @@ class PooledSystem {
     }
   };
 
-  void step(Cycle now);
   void step_slice(std::uint32_t h, Cycle now);
   void drain_completions(std::uint32_t h);
   void fetch(Slice& s, std::uint32_t h);
-  Cycle next_event_after(Cycle now) const;
-  /// Window bookkeeping shared by both pumps, called after a step (at
-  /// `now`) or a barrier (at its cycle): opens the window at `at` once every
-  /// host is warm, closes it once every host has halted. Returns whether
-  /// the window is closed.
+  /// Window bookkeeping, called at every barrier (at its cycle): opens the
+  /// window at `at` once every host is warm, closes it once every host has
+  /// halted. Returns whether the window is closed.
   bool track_window(std::uint64_t warmup_instr, Cycle at);
-  PooledStats run_sequential(std::uint64_t warmup_instr);
-  PooledStats run_quantum(std::uint64_t warmup_instr);
   /// Throws std::logic_error naming the pool's non-empty structures and
   /// each live slice's stall and awaited landing: nothing is armed while
   /// work remains.
@@ -181,7 +167,6 @@ class PooledSystem {
   std::unique_ptr<pool::PooledMemory> memory_;
   std::vector<Slice> slices_;
 
-  Cycle mem_wake_ = 0;
   std::uint64_t budget_ = 0;  ///< Per-host warmup + measure retirements.
   bool window_open_ = false;
   bool window_closed_ = false;

@@ -58,7 +58,6 @@ RunResult run_pooled(const RunRequest& request) {
   PooledSystem system(request.pool, request.seed);
   system.set_tick_every_cycle(request.tick_every_cycle);
   // Shard workers (DESIGN.md §14), bounded by the harness cap (run_many).
-  // More than one on a switched pool is an error (run() throws).
   std::uint32_t want = std::max(request.shards, 1u);
   if (request.shard_cap != 0) want = std::min(want, request.shard_cap);
   system.set_workers(want);
@@ -166,9 +165,9 @@ RunResult run_one(const RunRequest& request) {
 std::vector<RunRequest> golden_requests() {
   // Small budgets keep the golden test fast while still exercising both
   // topologies (direct DDR and CXL-attached) plus the asymmetric-lane
-  // variant, and the pooled driver on its three pumps: the quantum engine
-  // (direct fabric), the per-cycle switched pump, and the engine through a
-  // surprise removal. Changing this set invalidates
+  // variant, and the pooled driver's quantum engine on three pools: a
+  // direct fabric, a switched one, and a direct one through a surprise
+  // removal. Changing this set invalidates
   // tests/golden/baseline.json.
   const auto pooled = [](const pool::PoolConfig& cfg) {
     RunRequest r;

@@ -46,7 +46,7 @@ struct RunRequest {
 
   /// Intra-run shard workers for pooled runs (DESIGN.md §14). 0 and 1 both
   /// mean one worker (every shard pumped inline). Any worker count yields
-  /// byte-identical stats. Requesting > 1 on a switched pool throws.
+  /// byte-identical stats, on direct and switched pools alike.
   std::uint32_t shards = 0;
   /// Harness cap on effective shard workers (0 = uncapped). run_many sets
   /// it from inner_shard_cap() so outer runs x inner shard workers never

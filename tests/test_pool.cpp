@@ -246,6 +246,14 @@ void expect_modes_identical(const std::vector<pool::PoolConfig>& cfgs) {
   }
 }
 
+/// `cfg` with every host head on `kind`. A tree splits its devices over
+/// two leaves, so it gets an even device count: 2 shared + 2 private.
+pool::PoolConfig on_fabric(pool::PoolConfig cfg, fabric::TopologyKind kind) {
+  cfg.fabric_kind = kind;
+  if (kind == fabric::TopologyKind::kTree) cfg.private_devices = 2;
+  return cfg;
+}
+
 /// The identity inputs on `kind`: the shrunk ping-pong pool; one hot page
 /// every host hammers, so demands park behind its lock; a two-entry
 /// directory, so inserts find every entry locked and no victim; a one-slot
@@ -257,13 +265,13 @@ std::vector<pool::PoolConfig> identity_inputs(fabric::TopologyKind kind) {
   std::vector<pool::PoolConfig> cfgs = {small_pool(2), hot_page_pool(3),
                                         tiny_directory_pool(3), window_bound_pool(),
                                         stream_backpressure_pool()};
-  for (pool::PoolConfig& c : cfgs) c.fabric_kind = kind;
   if (kind == fabric::TopologyKind::kDirect) {
     cfgs.push_back(sys::coaxial_pooled(4));
     cfgs.push_back(sys::coaxial_pooled_faulty(4, /*at_cycle=*/4'000));
   } else {
     cfgs.push_back(sys::coaxial_pooled_switched(4));
   }
+  for (pool::PoolConfig& c : cfgs) c = on_fabric(c, kind);
   return cfgs;
 }
 
@@ -275,15 +283,18 @@ TEST(PooledSystem, SchedulerModesAreByteIdenticalSwitched) {
   expect_modes_identical(identity_inputs(fabric::TopologyKind::kStar));
 }
 
+TEST(PooledSystem, SchedulerModesAreByteIdenticalTree) {
+  expect_modes_identical(identity_inputs(fabric::TopologyKind::kTree));
+}
+
 struct StallCycles {
   std::uint64_t dep = 0, window = 0, bp = 0;
 };
 
 /// The per-host stall counters of an event-driven run of `cfg` on `kind`,
 /// summed over hosts.
-StallCycles stall_cycles(pool::PoolConfig cfg, fabric::TopologyKind kind) {
-  cfg.fabric_kind = kind;
-  sim::PooledSystem s(cfg, /*seed=*/7);
+StallCycles stall_cycles(const pool::PoolConfig& cfg, fabric::TopologyKind kind) {
+  sim::PooledSystem s(on_fabric(cfg, kind), /*seed=*/7);
   s.run(/*warmup_instr=*/300, /*measure_instr=*/1500);
   StallCycles st;
   const auto ends_with = [](const std::string& path, const std::string& leaf) {
@@ -306,7 +317,8 @@ TEST(PooledSystem, StallInputsExerciseWindowAndBackpressureStalls) {
   // one-slot window mostly on its window, the stream on its window and on
   // backpressure (the 4-host presets record no backpressure at all).
   for (const fabric::TopologyKind kind :
-       {fabric::TopologyKind::kDirect, fabric::TopologyKind::kStar}) {
+       {fabric::TopologyKind::kDirect, fabric::TopologyKind::kStar,
+        fabric::TopologyKind::kTree}) {
     SCOPED_TRACE(static_cast<int>(kind));
     const StallCycles one_slot = stall_cycles(window_bound_pool(), kind);
     EXPECT_GT(one_slot.window, 0u);
@@ -319,15 +331,22 @@ TEST(PooledSystem, StallInputsExerciseWindowAndBackpressureStalls) {
 
 TEST(PooledMemory, PendingWorkNamesTheStructuresHoldingWork) {
   // The lost-wake diagnostic: an idle pool reports nothing, a pool holding
-  // an admitted read names its in-flight slot and the demand mail that
-  // carries it to the pool shard (direct fabrics run the shard halves).
-  pool::PooledMemory m(small_pool(2));
-  EXPECT_TRUE(m.quiescent());
-  EXPECT_EQ(m.pending_work(), "");
-  ASSERT_TRUE(m.can_accept(1, pool::kPoolSharedBaseLine, false, 0));
-  m.access(1, pool::kPoolSharedBaseLine, false, 0, /*token=*/0);
-  EXPECT_FALSE(m.quiescent());
-  EXPECT_EQ(m.pending_work(), "inflight_reads=1, mail=1");
+  // an admitted read names its in-flight slot and where the demand is. A
+  // direct link delivers at send time, so the demand is already mail to
+  // the pool shard; a switched head holds it in the host's switch plane
+  // until a tick forwards it.
+  const auto admitted_read = [](const pool::PoolConfig& cfg) {
+    pool::PooledMemory m(cfg);
+    EXPECT_TRUE(m.quiescent());
+    EXPECT_EQ(m.pending_work(), "");
+    EXPECT_TRUE(m.can_accept(1, pool::kPoolSharedBaseLine, false, 0));
+    m.access(1, pool::kPoolSharedBaseLine, false, 0, /*token=*/0);
+    EXPECT_FALSE(m.quiescent());
+    return m.pending_work();
+  };
+  EXPECT_EQ(admitted_read(small_pool(2)), "inflight_reads=1, mail=1");
+  EXPECT_EQ(admitted_read(on_fabric(small_pool(2), fabric::TopologyKind::kStar)),
+            "inflight_reads=1, fabric_msgs=1");
 }
 
 TEST(PooledSystem, RepeatedRunsAreByteIdentical) {

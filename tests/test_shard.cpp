@@ -1,8 +1,8 @@
 // Sharded quantum engine (DESIGN.md §14): conservative-lookahead derivation
 // and validation, worker-count independence of the stats document, shard
 // placement, the worker team's barrier (near-empty rounds, the park path,
-// exceptions, oversubscription), the switched-fabric guard rails, and the
-// outer-pool x inner-shard cap.
+// exceptions, oversubscription), and the outer-pool x inner-shard cap — on
+// direct and switched (star and tree) pools alike.
 //
 // The load-bearing property is byte-identity: the parallel pump must be a
 // pure scheduling change. Every test here compares full canonical JSON
@@ -20,6 +20,7 @@
 
 #include "coaxial/configs.hpp"
 #include "common/thread_pool.hpp"
+#include "link/lane_config.hpp"
 #include "obs/stats_json.hpp"
 #include "sim/pooled_system.hpp"
 #include "sim/runner.hpp"
@@ -36,6 +37,16 @@ pool::PoolConfig small_pool(std::uint32_t hosts) {
   c.shared_pages = 256;
   c.shared_hot_pages = 4;
   c.shared_hot_prob = 0.9;
+  return c;
+}
+
+/// small_pool() behind a switch on every host head. A tree splits its
+/// devices over two leaves, so it needs an even device count: 2 shared + 2
+/// private.
+pool::PoolConfig switched_pool(std::uint32_t hosts, fabric::TopologyKind kind) {
+  pool::PoolConfig c = small_pool(hosts);
+  c.fabric_kind = kind;
+  if (kind == fabric::TopologyKind::kTree) c.private_devices = 2;
   return c;
 }
 
@@ -68,9 +79,36 @@ TEST(ShardLookahead, DirectFabricDerivesPositiveQuantum) {
   EXPECT_GT(s.lookahead(), 1u);
 }
 
-TEST(ShardLookahead, SwitchedFabricCannotRunTheEngine) {
-  sim::PooledSystem s(sys::coaxial_pooled_switched(2), /*seed=*/7);
-  EXPECT_EQ(s.lookahead(), 0u);
+TEST(ShardLookahead, SwitchedLookaheadIsTheDeviceSegmentFloor) {
+  // A switched head is cut at the shared devices' ports, so the quantum is
+  // one device segment — a link port, a switch port and one 16-byte
+  // serialisation — however many switches the head has.
+  for (const fabric::TopologyKind kind :
+       {fabric::TopologyKind::kStar, fabric::TopologyKind::kTree}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const pool::PoolConfig cfg = switched_pool(2, kind);
+    const link::LaneConfig lanes = link::LaneConfig::x8(cfg.cxl_port_ns);
+    const Cycle floor =
+        lanes.port_latency_cycles() + ns_to_cycles(cfg.switch_port_ns) +
+        std::min(serialization_cycles(lanes.tx_goodput_gbps, link::kReadRequestBytes),
+                 serialization_cycles(lanes.rx_goodput_gbps, link::kReadRequestBytes));
+    EXPECT_EQ(sim::PooledSystem(cfg, /*seed=*/7).lookahead(), floor);
+  }
+}
+
+TEST(ShardLookahead, DeclaredLatencyIsCrossCheckedOnSwitchedPools) {
+  for (const fabric::TopologyKind kind :
+       {fabric::TopologyKind::kStar, fabric::TopologyKind::kTree}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    pool::PoolConfig cfg = switched_pool(2, kind);
+    const Cycle derived = sim::PooledSystem(cfg, /*seed=*/7).lookahead();
+    cfg.shard_min_latency_cycles = derived;
+    EXPECT_EQ(sim::PooledSystem(cfg, /*seed=*/7).lookahead(), derived);
+    cfg.shard_min_latency_cycles = derived - 1;
+    EXPECT_THROW(sim::PooledSystem(cfg, /*seed=*/7), std::invalid_argument);
+    cfg.shard_min_latency_cycles = derived + 1;
+    EXPECT_THROW(sim::PooledSystem(cfg, /*seed=*/7), std::invalid_argument);
+  }
 }
 
 TEST(ShardLookahead, DeclaredLatencyMatchingDerivedIsAccepted) {
@@ -110,7 +148,8 @@ TEST(ShardDeterminism, WorkerCountNeverChangesThePooledDocument) {
   // enough for the team to re-plan twice. Neither may change a byte. The
   // parked paths ride along: one hot page every host hammers (heads park
   // behind its lock), and a two-entry directory (inserts find every entry
-  // locked and no victim).
+  // locked and no victim). So do star and tree heads, whose switch planes
+  // take landed responses and return switch-port credits at the barrier.
   pool::PoolConfig hot_page = small_pool(4);
   hot_page.share_fraction = 0.9;
   hot_page.shared_hot_pages = 1;
@@ -118,7 +157,9 @@ TEST(ShardDeterminism, WorkerCountNeverChangesThePooledDocument) {
   pool::PoolConfig tiny_directory = small_pool(4);
   tiny_directory.directory_entries = 2;
   for (const pool::PoolConfig& cfg :
-       {small_pool(4), small_pool(8), hot_page, tiny_directory}) {
+       {small_pool(4), small_pool(8), hot_page, tiny_directory,
+        switched_pool(4, fabric::TopologyKind::kStar),
+        switched_pool(4, fabric::TopologyKind::kTree)}) {
     sim::RunRequest req = pooled_request(cfg, /*shards=*/1);
     req.warmup_instr = 1'000;
     req.measure_instr = 10'000;
@@ -132,7 +173,8 @@ TEST(ShardDeterminism, WorkerCountNeverChangesThePooledDocument) {
       EXPECT_EQ(base, stats_json(sim::run_one(req)))
           << "document diverged at " << n << " shard workers over "
           << cfg.n_hosts << " hosts (share " << cfg.share_fraction
-          << ", directory " << cfg.directory_entries << ")";
+          << ", directory " << cfg.directory_entries << ", fabric "
+          << static_cast<int>(cfg.fabric_kind) << ")";
     }
   }
 }
@@ -140,9 +182,13 @@ TEST(ShardDeterminism, WorkerCountNeverChangesThePooledDocument) {
 TEST(ShardDeterminism, WorkerCountInvariantUnderDeviceFailure) {
   // The RAS path exercises the straggler protocol: demands in flight toward
   // a device that dies mid-quantum must bounce at the barrier with the same
-  // timing every worker count observes.
-  for (const std::uint32_t hosts : {2u, 4u}) {
-    sim::PooledSystem seq(faulty_pool(hosts), /*seed=*/7);
+  // timing every worker count observes — on a star head too, where they
+  // may still sit in the host's switch plane when the device dies.
+  pool::PoolConfig star = faulty_pool(4);
+  star.fabric_kind = fabric::TopologyKind::kStar;
+  for (const pool::PoolConfig& cfg : {faulty_pool(2), faulty_pool(4), star}) {
+    const std::uint32_t hosts = cfg.n_hosts;
+    sim::PooledSystem seq(cfg, /*seed=*/7);
     seq.run(/*warmup_instr=*/300, /*measure_instr=*/3'000);
     const std::string base =
         obs::json::snapshot_to_json(seq.metrics().snapshot());
@@ -150,13 +196,13 @@ TEST(ShardDeterminism, WorkerCountInvariantUnderDeviceFailure) {
     // The scenario must actually fire, or this test proves nothing.
     ASSERT_GT(av.devices_offlined, 0u);
     EXPECT_GT(av.bounced_reads + av.refused_txns, 0u);
-    for (const std::uint32_t n : {2u, 3u, 4u, 5u, 8u}) {
-      sim::PooledSystem par(faulty_pool(hosts), /*seed=*/7);
+    for (const std::uint32_t n : {2u, 3u, 4u, 5u, 6u, 8u}) {
+      sim::PooledSystem par(cfg, /*seed=*/7);
       par.set_workers(n);
       par.run(300, 3'000);
       EXPECT_EQ(base, obs::json::snapshot_to_json(par.metrics().snapshot()))
           << "document diverged at " << n << " shard workers over " << hosts
-          << " hosts";
+          << " hosts (fabric " << static_cast<int>(cfg.fabric_kind) << ")";
     }
   }
 }
@@ -303,14 +349,6 @@ TEST(ShardBarrier, OversubscribedTeamParksAndFinishes) {
   team.shutdown();
   for (const std::uint64_t n : runs) EXPECT_EQ(n, 2'000u);
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
-}
-
-// ------------------------------------------------------ switched guard rails
-
-TEST(ShardGuards, ExplicitWorkersOnSwitchedPoolThrow) {
-  sim::RunRequest req = pooled_request(sys::coaxial_pooled_switched(2),
-                                       /*shards=*/2);
-  EXPECT_THROW(sim::run_one(req), std::invalid_argument);
 }
 
 // ------------------------------------------------- outer x inner worker cap
