@@ -12,7 +12,7 @@ namespace coaxial::pool {
 namespace {
 
 /// Per (sub-channel, host) ingress bound, mirroring CxlMemory's device
-/// ingress depth. Direct fabrics enforce the same bound with credits.
+/// ingress depth. Hosts enforce it for pooled subs with credits.
 constexpr std::uint32_t kIngressDepth = 64;
 
 /// parked_at_ value of a head the directory has not blocked.
@@ -34,6 +34,7 @@ bool wire_control(std::uint64_t p) { return (p & 1) != 0; }
 template <class Credit>
 void mature_credits(std::vector<Credit>& pending, std::vector<std::uint64_t>& credits,
                     Cycle now, Cycle& wake) {
+  if (pending.empty()) return;
   std::size_t kept = 0;
   for (std::size_t i = 0; i < pending.size(); ++i) {
     const Credit c = pending[i];
@@ -712,15 +713,18 @@ Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
   Cycle wake = kNoCycle;
   fabric::Fabric& fab = *fab_[host];
 
-  // Switched planes forward (a direct link delivered at send time). Each
-  // forward off a shared device's landing port returns that port's credit
-  // to the pool across the device segment.
-  fab.tick(now);
-  take_down(host);
-  take_up(host);
-  for (std::uint32_t d = 0; d < s_devs_; ++d) {
-    for (std::uint32_t n = fab.take_landing_frees(d); n != 0; --n) {
-      mail_port_credit_[host].push_back({now + port_credit_lat_, d});
+  // Switched planes forward once a head has arrived (a direct link
+  // delivered at send time and never has one). Each forward off a shared
+  // device's landing port returns that port's credit to the pool across
+  // the device segment.
+  if (fab.earliest_head() <= now) {
+    fab.tick(now);
+    take_down(host);
+    take_up(host);
+    for (std::uint32_t d = 0; d < s_devs_; ++d) {
+      for (std::uint32_t n = fab.take_landing_frees(d); n != 0; --n) {
+        mail_port_credit_[host].push_back({now + port_credit_lat_, d});
+      }
     }
   }
 
@@ -784,9 +788,9 @@ Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
       }
       fab.post_rx(p.device, link::kReadResponseBytes, now,
                   wire(false, p.poisoned, p.slot));
+      take_up(host);
     }
     pending.resize(kept);
-    take_up(host);
     pending_rx_priv_ready_[host] = park_wake(fab, pending, now, wake);
   }
 
@@ -806,11 +810,11 @@ Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
       const std::uint32_t bytes =
           iv.dirty ? link::kWriteMessageBytes : link::kReadRequestBytes;
       fab.post_tx(iv.sdev, bytes, now, wire(true, iv.dirty, iv.txn));
+      take_down(host);
       ++host_ack_ctr_[host].acks_sent;
       ++host_ack_ctr_[host].invals_received;
     }
     invals.resize(kept);
-    take_down(host);
   }
 
   // Every message in the head's planes, sent after this cycle's tick or

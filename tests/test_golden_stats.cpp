@@ -85,7 +85,8 @@ TEST(GoldenStats, MatchesCheckedInBaseline) {
 TEST(GoldenStats, LockstepDocumentIsByteIdentical) {
   // Event-driven scheduling only skips cycles in which nothing can happen,
   // so the lockstep reference loop must reproduce every row byte for byte:
-  // single-host System runs and the pooled engine and switched pumps.
+  // single-host System runs and the pooled engine on direct and switched
+  // pools.
   EXPECT_EQ(run_golden_document(/*tick_every_cycle=*/true), run_golden_document());
 }
 
