@@ -106,7 +106,9 @@ echo "=== thread-sanitizer build (TSan, sched label) ==="
 # workers under TSan: the atomic generation/arrival barrier on both its
 # spin and park paths, an oversubscribed (never-spinning) team, worker
 # exceptions, cost-measured re-placement, mailbox drains and profiler
-# folding.
+# folding — on direct, star and tree pools, so the switched heads' uplink
+# mailbox (pool-owned device uplinks feeding host-owned switch planes) and
+# their switch-port credits run under it too.
 # TSan cannot be combined with ASan, hence the third build tree.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCOAXIAL_SANITIZE=thread
