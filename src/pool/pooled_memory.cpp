@@ -194,9 +194,7 @@ PooledMemory::PooledMemory(const PoolConfig& cfg, obs::Scope scope)
   mail_credit_.resize(n_hosts_);
   pending_credits_.resize(n_hosts_);
   credits_.assign(n_hosts_, std::vector<std::uint64_t>(s_subs_, kIngressDepth));
-  pending_port_credits_.resize(n_hosts_);
-  port_credits_.assign(n_hosts_, std::vector<std::uint64_t>(
-                                     s_devs_, fab_[0]->landing_depth()));
+  port_credits_.assign(n_hosts_ * s_devs_, fab_[0]->landing_depth());
 
   avail_host_.resize(n_hosts_);
   host_shared_ctr_.resize(n_hosts_);
@@ -309,14 +307,15 @@ void PooledMemory::take_up(std::uint32_t host) {
 
 bool PooledMemory::can_ship(std::uint32_t host, std::uint32_t sdev,
                             Cycle now) const {
-  return port_credits_[host][sdev] != 0 && fab_[host]->can_inject_rx(sdev, now);
+  return port_credits_[host * s_devs_ + sdev] != 0 &&
+         fab_[host]->can_inject_rx(sdev, now);
 }
 
 void PooledMemory::ship_up(std::uint32_t host, std::uint32_t sdev,
                            std::uint32_t bytes, Cycle now,
                            std::uint64_t payload) {
   const link::SendResult sr = fab_[host]->inject_rx(sdev, bytes, now);
-  --port_credits_[host][sdev];
+  --port_credits_[host * s_devs_ + sdev];
   mail_up_[host].push_back({sr.at, sdev, bytes, payload, sr.poisoned});
 }
 
@@ -460,9 +459,7 @@ void PooledMemory::admit_shared(dram::Controller& ctrl, const DeviceMsg& msg,
 
 Cycle PooledMemory::pool_tick(Cycle now) {
   Cycle wake = kNoCycle;
-  for (std::uint32_t h = 0; h < n_hosts_; ++h) {
-    mature_credits(pending_port_credits_[h], port_credits_[h], now, wake);
-  }
+  mature_credits(pending_port_credits_, port_credits_, now, wake);
   if (avail_on_) wake = std::min(wake, pump_pool_failure(now));
 
   // -- Phase B: acks arriving at pooled devices retire invalidations. -----
@@ -723,7 +720,8 @@ Cycle PooledMemory::host_tick(std::uint32_t host, Cycle now) {
     take_up(host);
     for (std::uint32_t d = 0; d < s_devs_; ++d) {
       for (std::uint32_t n = fab.take_landing_frees(d); n != 0; --n) {
-        mail_port_credit_[host].push_back({now + port_credit_lat_, d});
+        mail_port_credit_[host].push_back(
+            {now + port_credit_lat_, host * s_devs_ + d});
       }
     }
   }
@@ -853,7 +851,7 @@ Cycle PooledMemory::exchange_shard_mail(Cycle now) {
     mail_ack_[h].clear();
     for (const CreditMail& cr : mail_port_credit_[h]) {
       check_on_time("switch-port credit", h, cr.at, now);
-      pending_port_credits_[h].push_back(cr);
+      pending_port_credits_.push_back(cr);
       effect = std::min(effect, cr.at);
     }
     mail_port_credit_[h].clear();

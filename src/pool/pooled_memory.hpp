@@ -231,7 +231,7 @@ class PooledMemory {
   };
   struct CreditMail {
     Cycle at = 0;
-    std::uint32_t sub = 0;  ///< Shared sub-channel, or shared device.
+    std::uint32_t sub = 0;  ///< Shared sub-channel, or host * S + shared device.
   };
 
   /// DRAM read tokens pack (request-poison, host, slot) so the pool shard
@@ -387,8 +387,8 @@ class PooledMemory {
   std::vector<std::vector<CreditMail>> mail_credit_;   ///< pool -> [host].
   std::vector<std::vector<CreditMail>> pending_credits_;  ///< Delivered, maturing.
   std::vector<std::vector<std::uint64_t>> credits_;    ///< [host][shared sub].
-  std::vector<std::vector<CreditMail>> pending_port_credits_;  ///< Pool-side.
-  std::vector<std::vector<std::uint64_t>> port_credits_;  ///< [host][shared dev].
+  std::vector<CreditMail> pending_port_credits_;  ///< Pool-side, maturing.
+  std::vector<std::uint64_t> port_credits_;  ///< [host * s_devs_ + shared dev].
   Cycle credit_lat_ = 1;       ///< Pop -> credit visible at the host.
   Cycle port_credit_lat_ = 1;  ///< Forward -> credit visible at the pool.
   Cycle bounce_rx_lat_ = 1;    ///< Extra response latency on bounces.
