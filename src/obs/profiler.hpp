@@ -119,8 +119,9 @@ void publish(const Scope& scope, const Totals& delta);
 /// can be compiled out with COAXIAL_NO_PROF.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Phase p) {
-    if (!enabled()) return;
+  /// `on == false` leaves the scope inert (a phase opened in some runs only).
+  explicit ScopedTimer(Phase p, bool on = true) {
+    if (!on || !enabled()) return;
     st_ = &detail::tls();
     idx_ = static_cast<std::size_t>(p);
     ++st_->totals.calls[idx_];
@@ -150,11 +151,12 @@ class ScopedTimer {
 }  // namespace coaxial::obs::prof
 
 #ifdef COAXIAL_NO_PROF
-#define COAXIAL_PROF_SCOPE(phase)
+#define COAXIAL_PROF_SCOPE(phase, ...)
 #else
 #define COAXIAL_PROF_CONCAT2(a, b) a##b
 #define COAXIAL_PROF_CONCAT(a, b) COAXIAL_PROF_CONCAT2(a, b)
-#define COAXIAL_PROF_SCOPE(phase)                                   \
+#define COAXIAL_PROF_SCOPE(phase, ...)                              \
   ::coaxial::obs::prof::ScopedTimer COAXIAL_PROF_CONCAT(            \
-      coaxial_prof_scope_, __LINE__)(::coaxial::obs::prof::Phase::phase)
+      coaxial_prof_scope_, __LINE__)(                               \
+      ::coaxial::obs::prof::Phase::phase __VA_OPT__(, ) __VA_ARGS__)
 #endif

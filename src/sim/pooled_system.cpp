@@ -232,7 +232,10 @@ PooledStats PooledSystem::run(std::uint64_t warmup_instr,
   const bool force = tick_every_cycle_;
   const Cycle q = memory_->min_cross_shard_latency();
   const std::size_t n_shards = static_cast<std::size_t>(cfg_.n_hosts) + 1;
-  shard::WorkerTeam team(workers_, n_shards);
+  // Switched pools open no shard phase: bench/perf's layers.cpp still files
+  // them under the per-cycle switched pump's flat profile (DESIGN.md §14).
+  const bool shard_phases = cfg_.fabric_kind == fabric::TopologyKind::kDirect;
+  shard::WorkerTeam team(workers_, n_shards, shard_phases);
   effective_workers_ = static_cast<std::uint32_t>(team.workers());
 
   // Next cycle each shard needs to run (kNoCycle = asleep until mail).
@@ -291,7 +294,7 @@ PooledStats PooledSystem::run(std::uint64_t warmup_instr,
     // the jump decision are coordinator-only and see a consistent system.
     Cycle effect;
     {
-      COAXIAL_PROF_SCOPE(kShardDrain);
+      COAXIAL_PROF_SCOPE(kShardDrain, shard_phases);
       effect = memory_->exchange_shard_mail(t_end);
     }
     // The window opens on the barrier grid; it closes at the exact cycle

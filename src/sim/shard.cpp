@@ -52,8 +52,8 @@ std::vector<std::size_t> plan_placement(const std::vector<double>& shard_cost,
   return owner;
 }
 
-WorkerTeam::WorkerTeam(std::size_t workers, std::size_t shards)
-    : workers_(workers == 0 ? 1 : workers), shards_(shards) {
+WorkerTeam::WorkerTeam(std::size_t workers, std::size_t shards, bool shard_phases)
+    : workers_(workers == 0 ? 1 : workers), shards_(shards), shard_phases_(shard_phases) {
   if (workers_ > shards_ && shards_ != 0) workers_ = shards_;
   spin_ = workers_ > 1 && workers_ <= std::thread::hardware_concurrency();
   std::vector<std::size_t> striped(shards_);
@@ -130,7 +130,7 @@ void WorkerTeam::wake(const std::atomic<std::size_t>& parked,
 }
 
 void WorkerTeam::pump(std::size_t w, const std::function<void(std::size_t)>& fn) {
-  COAXIAL_PROF_SCOPE(kShardPump);
+  COAXIAL_PROF_SCOPE(kShardPump, shard_phases_);
   if (!sample_) {
     for (const std::size_t s : owned_[w]) fn(s);
     return;
@@ -148,7 +148,7 @@ void WorkerTeam::worker_loop(std::size_t w) {
   std::uint64_t seen = 0;
   for (;;) {
     {
-      COAXIAL_PROF_SCOPE(kShardBarrier);
+      COAXIAL_PROF_SCOPE(kShardBarrier, shard_phases_);
       await([&] { return generation_.load() != seen; }, parked_workers_,
             start_cv_);
     }
@@ -171,7 +171,7 @@ void WorkerTeam::worker_loop(std::size_t w) {
 
 void WorkerTeam::round(const std::function<void(std::size_t)>& fn) {
   if (threads_.empty()) {
-    COAXIAL_PROF_SCOPE(kShardPump);
+    COAXIAL_PROF_SCOPE(kShardPump, shard_phases_);
     for (std::size_t s = 0; s < shards_; ++s) fn(s);
     return;
   }
@@ -198,7 +198,7 @@ void WorkerTeam::round(const std::function<void(std::size_t)>& fn) {
     errors_[0] = std::current_exception();
   }
   {
-    COAXIAL_PROF_SCOPE(kShardBarrier);
+    COAXIAL_PROF_SCOPE(kShardBarrier, shard_phases_);
     await([&] { return arrived_.load() == workers_ - 1; }, parked_coordinator_,
           done_cv_);
   }

@@ -66,7 +66,8 @@ class WorkerTeam {
   /// pump work per round), short enough that an idle team goes to sleep.
   static constexpr std::chrono::microseconds kSpinBudget{50};
 
-  WorkerTeam(std::size_t workers, std::size_t shards);
+  /// `shard_phases` false: rounds open no kShardPump / kShardBarrier phase.
+  WorkerTeam(std::size_t workers, std::size_t shards, bool shard_phases = true);
   WorkerTeam(const WorkerTeam&) = delete;
   WorkerTeam& operator=(const WorkerTeam&) = delete;
   ~WorkerTeam();
@@ -102,6 +103,7 @@ class WorkerTeam {
   std::size_t workers_ = 1;
   std::size_t shards_ = 0;
   bool spin_ = false;
+  bool shard_phases_ = true;
 
   // Placement: written by the coordinator between rounds only.
   std::vector<std::size_t> owner_;

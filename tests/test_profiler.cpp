@@ -126,5 +126,36 @@ TEST_F(ProfilerTest, ThreadTotalsDeltaBracketsARegion) {
   EXPECT_EQ(d.calls[static_cast<std::size_t>(Phase::kMemPump)], 2u);
 }
 
+// A switched pool runs the quantum engine but keeps the per-cycle switched
+// pump's profile shape: memory, fabric and link phases at the top level and
+// no shard phase. A direct pool opens the shard phases.
+TEST_F(ProfilerTest, PooledRunsOpenShardPhasesOnDirectFabricsOnly) {
+  const auto calls = [](const sim::RunResult& r, const std::string& phase) {
+    return r.metrics.at("host/prof/" + phase + "/calls").count;
+  };
+  const auto profiled = [](const pool::PoolConfig& cfg) {
+    sim::RunRequest req;
+    req.pool = cfg;
+    req.warmup_instr = 300;
+    req.measure_instr = 1'500;
+    req.seed = 7;
+    req.shards = 2;
+    obs::prof::set_enabled(true);
+    sim::RunResult r = sim::run_one(req);
+    obs::prof::set_enabled(false);
+    return r;
+  };
+  const sim::RunResult direct = profiled(sys::coaxial_pooled(2));
+  EXPECT_GT(calls(direct, "shard/pump"), 0u);
+  EXPECT_GT(calls(direct, "shard/mailbox_drain"), 0u);
+
+  const sim::RunResult star = profiled(sys::coaxial_pooled_switched(2));
+  EXPECT_EQ(calls(star, "shard/pump"), 0u);
+  EXPECT_EQ(calls(star, "shard/barrier_wait"), 0u);
+  EXPECT_EQ(calls(star, "shard/mailbox_drain"), 0u);
+  EXPECT_GT(calls(star, "dram_tick"), 0u);
+  EXPECT_GT(calls(star, "fabric_arb"), 0u);
+}
+
 }  // namespace
 }  // namespace coaxial
