@@ -7,10 +7,11 @@
 # tier/*, pool/* and ras/avail/* stats must agree exactly across two
 # runs), smoke the sanitizer build (-DCOAXIAL_SANITIZE=ON) on the
 # invariant + golden + fabric + ras + perf + svc + tier + pool + avail +
-# dram ctest labels (perf carries the single-host event wheel, the flat
-# MSHR table and the event == lockstep runs), and run the sched label (sharded quantum engine, DESIGN.md
-# §14) under TSan (-DCOAXIAL_SANITIZE=thread) to prove the quantum
-# barriers race-free.
+# dram + core ctest labels (perf carries the single-host event wheel, the
+# flat MSHR table and the event == lockstep runs; core the generators that
+# write into the core's fetch buffer), and run the sched label (sharded
+# quantum engine, DESIGN.md §14) under TSan (-DCOAXIAL_SANITIZE=thread) to
+# prove the quantum barriers race-free.
 # Host performance is measured by bench_perf (BENCHMARK.json,
 # bench/perf/README.md), whose smoke test runs in the ctest pass under the
 # bench label; compare builds with bench/perf/ab.py, not in CI.
@@ -98,7 +99,10 @@ cmake --build "${SAN_DIR}" -j "${JOBS}"
 # adds the index-linked structures of the single-host payload path: the
 # event wheel's node pool and bucket lists (test_event_queue), the flat
 # MSHR table (test_mshr) and event == lockstep System runs (test_scheduler).
-ctest --test-dir "${SAN_DIR}" --output-on-failure -j "${JOBS}" -L "invariant|golden|fabric|ras|perf|svc|tier|pool|avail|dram"
+# The core label adds the instruction generators, which write each batch in
+# place into the core's fixed fetch buffer (test_workload), and the core
+# model that owns it (test_core).
+ctest --test-dir "${SAN_DIR}" --output-on-failure -j "${JOBS}" -L "invariant|golden|fabric|ras|perf|svc|tier|pool|avail|dram|core"
 
 echo "=== thread-sanitizer build (TSan, sched label) ==="
 # The sharded quantum engine (DESIGN.md §14) is the only multi-threaded

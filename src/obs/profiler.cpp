@@ -9,9 +9,6 @@ namespace coaxial::obs::prof {
 
 namespace {
 
-// -1 = uninitialized (read COAXIAL_PROF on first query), 0/1 = forced.
-std::atomic<int> g_enabled{-1};
-
 constexpr const char* kPhaseNames[kPhaseCount] = {
     "core_tick",      "workload_gen", "cache_access", "mshr",
     "dram_tick",      "dram_try_issue", "link_serialize", "fabric_arb",
@@ -23,18 +20,19 @@ constexpr const char* kPhaseNames[kPhaseCount] = {
 
 const char* phase_name(Phase p) { return kPhaseNames[static_cast<std::size_t>(p)]; }
 
-bool enabled() {
-  int v = g_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = env_flag("COAXIAL_PROF") ? 1 : 0;
-    g_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
+void set_enabled(bool on) {
+  detail::g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
-void set_enabled(bool on) { g_enabled.store(on ? 1 : 0, std::memory_order_relaxed); }
-
 namespace detail {
+
+std::atomic<int> g_enabled{-1};
+
+bool init_enabled() {
+  const bool on = env_flag("COAXIAL_PROF");
+  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+  return on;
+}
 
 ThreadState& tls() {
   thread_local ThreadState state;
@@ -42,6 +40,22 @@ ThreadState& tls() {
 }
 
 }  // namespace detail
+
+void ScopedTimer::start(Phase p) {
+  st_ = &detail::tls();
+  idx_ = static_cast<std::size_t>(p);
+  ++st_->totals.calls[idx_];
+  timing_ = st_->depth[idx_]++ == 0;  // Re-entrant: outermost scope times.
+  if (timing_) start_ = std::chrono::steady_clock::now();
+}
+
+void ScopedTimer::stop() {
+  --st_->depth[idx_];
+  if (!timing_) return;
+  const auto end = std::chrono::steady_clock::now();
+  st_->totals.ns[idx_] += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_).count());
+}
 
 void reset_thread_totals() { detail::tls() = detail::ThreadState{}; }
 

@@ -8,11 +8,16 @@
 // pass").
 //
 // Cost model:
-//  * disabled (default): every COAXIAL_PROF_SCOPE is one predictable branch
-//    on a cached bool — no clock reads, no TLS writes. The golden
-//    byte-identical guarantee is untouched because nothing is published.
-//  * enabled (COAXIAL_PROF=1): two steady_clock reads per outermost scope,
-//    accumulated into thread-local counters (no atomics, no locks).
+//  * disabled (default): every COAXIAL_PROF_SCOPE is, inline at the scope,
+//    one relaxed load of a header-visible flag and one predictable branch
+//    on entry, and a null test of the scope's own pointer on exit — no
+//    call, no clock reads, no TLS access. Only the first query of a
+//    process takes the out-of-line path that reads COAXIAL_PROF. The
+//    golden byte-identical guarantee is untouched because nothing is
+//    published.
+//  * enabled (COAXIAL_PROF=1): an out-of-line start and stop per scope,
+//    two steady_clock reads per outermost scope, accumulated into
+//    thread-local counters (no atomics, no locks).
 //  * compiled out: defining COAXIAL_NO_PROF turns the macro into nothing.
 //
 // Accounting contract:
@@ -27,6 +32,7 @@
 // exactly like `host_seconds`.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 
@@ -61,10 +67,25 @@ inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCoun
 /// Stable lowercase slug for the metrics path ("core_tick", "dram_try_issue").
 const char* phase_name(Phase p);
 
+namespace detail {
+
+/// 1 = on, 0 = off, -1 = not yet read from COAXIAL_PROF. Header-visible so
+/// a disabled scope costs one inline load and branch.
+extern std::atomic<int> g_enabled;
+
+/// First query: read COAXIAL_PROF once and cache it in g_enabled.
+bool init_enabled();
+
+}  // namespace detail
+
 /// Whether profiling is active. Initialized once from COAXIAL_PROF; tests
 /// and tools may override before timing anything (set_enabled is not
 /// thread-safe against concurrently running scopes).
-bool enabled();
+inline bool enabled() {
+  const int v = detail::g_enabled.load(std::memory_order_relaxed);
+  if (v == 0) [[likely]] return false;
+  return v > 0 || detail::init_enabled();
+}
 void set_enabled(bool on);
 
 /// Per-thread accumulated totals; indices follow Phase.
@@ -121,27 +142,22 @@ class ScopedTimer {
  public:
   /// `on == false` leaves the scope inert (a phase opened in some runs only).
   explicit ScopedTimer(Phase p, bool on = true) {
-    if (!on || !enabled()) return;
-    st_ = &detail::tls();
-    idx_ = static_cast<std::size_t>(p);
-    ++st_->totals.calls[idx_];
-    timing_ = st_->depth[idx_]++ == 0;  // Re-entrant: outermost scope times.
-    if (timing_) start_ = std::chrono::steady_clock::now();
+    if (on && enabled()) start(p);
   }
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
   ~ScopedTimer() {
-    if (st_ == nullptr) return;  // Was disabled at entry; stay inert.
-    --st_->depth[idx_];
-    if (!timing_) return;
-    const auto end = std::chrono::steady_clock::now();
-    st_->totals.ns[idx_] += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_).count());
+    if (st_ != nullptr) stop();  // Null unless enabled at entry.
   }
 
  private:
+  // The enabled halves, out of line (profiler.cpp) so that a disabled scope
+  // inlines to a load and a branch.
+  void start(Phase p);
+  void stop();
+
   detail::ThreadState* st_ = nullptr;
   std::size_t idx_ = 0;
   bool timing_ = false;

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "obs/profiler.hpp"
 
@@ -257,12 +260,9 @@ Cycle System::next_wake_cycle() const {
 }
 
 void System::dispatch_due(Cycle now) {
-  // Repeated min-extraction in phase order: after every handler returns,
-  // rescan from the first phase, because a handler may have armed an
-  // earlier phase (or itself) at the current cycle. Each slot maps to a
-  // unique phase priority, so this is exactly the dispatch order a
-  // (cycle, priority) heap would produce.
-  const std::uint32_t active = cfg_.uarch.active_cores;
+  // Events and pump by repeated min-extraction in phase order: an event
+  // drain may arm the pump at the current cycle (new memory work, parked
+  // retries, write-backs), so the scan restarts after every handler.
   for (;;) {
     if (events_slot_.at <= now) {
       events_slot_.at = kNoCycle;
@@ -276,9 +276,16 @@ void System::dispatch_due(Cycle now) {
       wake_pump(now);
       continue;
     }
-    std::uint32_t c = 0;
-    while (c < active && core_slots_[c].at > now) ++c;
-    if (c == active) return;
+    break;
+  }
+  // Due cores in one ascending pass. Restarting the scan after each core,
+  // as a (cycle, priority) heap would, visits the same slots in the same
+  // order, because no core wake arms the events, the pump or any core
+  // slot at the current cycle (DESIGN.md §2); arm() checks that under
+  // COAXIAL_ASSERT_TIMING.
+  const std::uint32_t active = cfg_.uarch.active_cores;
+  for (std::uint32_t c = 0; c < active; ++c) {
+    if (core_slots_[c].at > now) continue;
     core_slots_[c].at = kNoCycle;
     ++sched_dispatches_;
     wake_core(c, now);
@@ -304,10 +311,32 @@ void System::wake_pump(Cycle now) {
 }
 
 void System::wake_core(std::uint32_t c, Cycle now) {
-  core_slots_[c] = WakeSlot{};
+#if defined(COAXIAL_ASSERT_TIMING)
+  in_core_wake_ = true;
+#endif
   cores_[c]->tick(now, *this);
   arm(core_slots_[c], cores_[c]->next_wake(now));
+#if defined(COAXIAL_ASSERT_TIMING)
+  in_core_wake_ = false;
+#endif
 }
+
+#if defined(COAXIAL_ASSERT_TIMING)
+void System::abort_same_cycle_arm(const WakeSlot& slot, Cycle cycle) const {
+  // A core wake that arms the current cycle would break the one-pass core
+  // dispatch in dispatch_due(); name the slot it armed.
+  std::string what = "events";
+  if (&slot == &pump_slot_) {
+    what = "pump";
+  } else if (&slot != &events_slot_) {
+    what = "core " + std::to_string(&slot - core_slots_.data());
+  }
+  std::fprintf(stderr, "System: a core wake armed the %s slot at cycle %llu (now %llu)\n",
+               what.c_str(), static_cast<unsigned long long>(cycle),
+               static_cast<unsigned long long>(now_));
+  std::abort();
+}
+#endif
 
 // ------------------------------------------------------------- event plumbing
 

@@ -211,10 +211,11 @@ class System : public core::MemoryPort {
   // drain, one pump, one slot per core), so instead of a priority heap the
   // spine keeps one pending wake-up cycle per slot: arming is a min, the
   // next populated cycle is a min-scan over ~n_cores slots, and dispatch
-  // rescans in phase order after every handler — exactly the repeated
-  // min-extraction a (cycle, priority) heap performs, since each slot has
-  // a unique phase priority. This removes heap push/pop/tombstone traffic
-  // from the hottest loop in the simulator.
+  // reproduces the repeated min-extraction a (cycle, priority) heap
+  // performs, since each slot has a unique phase priority: events and pump
+  // rescan after every handler, and due cores wake in one ascending pass
+  // (no core wake arms anything at the current cycle). This removes heap
+  // push/pop/tombstone traffic from the hottest loop in the simulator.
 
   /// At most one pending wake-up per phase slot; arm() dedupes by keeping
   /// the earlier of the armed and requested cycles, and dispatch clears the
@@ -226,8 +227,14 @@ class System : public core::MemoryPort {
   void arm(WakeSlot& slot, Cycle cycle) {
     // In forced mode the main loop drives every phase every cycle itself.
     if (tick_every_cycle_ || cycle == kNoCycle) return;
+#if defined(COAXIAL_ASSERT_TIMING)
+    if (in_core_wake_ && cycle <= now_) abort_same_cycle_arm(slot, cycle);
+#endif
     if (cycle < slot.at) slot.at = cycle;
   }
+#if defined(COAXIAL_ASSERT_TIMING)
+  [[noreturn]] void abort_same_cycle_arm(const WakeSlot& slot, Cycle cycle) const;
+#endif
   Cycle next_wake_cycle() const;
   void dispatch_due(Cycle now);
   void wake_events(Cycle now);
@@ -294,6 +301,9 @@ class System : public core::MemoryPort {
   bool tick_every_cycle_ = false;
   bool ras_enabled_ = false;  ///< cfg_.fault_plan.enabled(), cached.
   bool in_events_drain_ = false;
+#if defined(COAXIAL_ASSERT_TIMING)
+  bool in_core_wake_ = false;  ///< Inside wake_core (one-pass precondition).
+#endif
   WakeSlot events_slot_;
   WakeSlot pump_slot_;
   std::vector<WakeSlot> core_slots_;

@@ -71,7 +71,11 @@ Generator::Generator(const WorkloadParams& params, std::uint32_t core_id, std::u
   }
 }
 
-Instr Generator::next() {
+// The whole draw, inlined into both entry points: next_batch() writes each
+// instruction straight into the caller's buffer (the core's fetch buffer),
+// with no call and no by-value Instr per instruction. `out` is a reused
+// slot, so every field is written, once, after the draws.
+[[gnu::always_inline]] inline void Generator::draw(Instr& out) {
   // Burst/gap phase machine: mean burst 3000 instructions, mean gap 6000,
   // so bursts cover 1/3 of instructions.
   if (phase_left_ == 0) {
@@ -83,15 +87,17 @@ Instr Generator::next() {
   --phase_left_;
   const double mem_frac = in_burst_ ? mem_frac_burst_ : mem_frac_calm_;
 
-  Instr ins;
   if (!rng_.chance(mem_frac)) {
-    ins.kind = InstrKind::kAlu;
-    ins.pc = kPcAlu;
-    return ins;
+    out.kind = InstrKind::kAlu;
+    out.addr = 0;
+    out.pc = kPcAlu;
+    out.depends_on_prev_load = false;
+    return;
   }
 
   const bool is_store = rng_.chance(params_.store_fraction);
-  ins.kind = is_store ? InstrKind::kStore : InstrKind::kLoad;
+  Addr addr, pc;
+  bool skewed = false;
 
   if (rng_.chance(params_.seq_prob)) {
     // Sequential stream through the cold tier, 8-byte word granularity.
@@ -100,8 +106,8 @@ Instr Generator::next() {
     Addr pos = stream_pos_[s] + 8;
     if (pos >= cold_bytes_) pos = 0;
     stream_pos_[s] = pos;
-    ins.addr = base_cold_ + pos;
-    ins.pc = kPcStreamBase + 8 * (s % kPcsPerClass);
+    addr = base_cold_ + pos;
+    pc = kPcStreamBase + 8 * (s % kPcsPerClass);
   } else {
     const double r = rng_.next_double();
     Addr base, span, pc_base;
@@ -117,40 +123,43 @@ Instr Generator::next() {
       base = base_cold_;
       span = cold_bytes_;
       pc_base = kPcColdBase;
-      if (warm_pages_ > 0 && rng_.chance(params_.cold_hot_prob)) {
-        // Skewed cold access: pick one of the warm pages and scatter it
-        // over the cold tier with an odd-multiplier bijection, so the warm
-        // set is page-sparse (a tiering policy must track pages, not
-        // ranges, to capture it).
-        const Addr widx = rng_.next_below(warm_pages_);
-        const Addr page = (widx * 0x9e3779b97f4a7c15ull) & cold_page_mask_;
-        ins.addr = base_cold_ + page * 4096 +
-                   (rng_.next_below(4096) & ~static_cast<Addr>(7));
-        ins.pc = pc_base + 8 * rng_.next_below(kPcsPerClass);
-        if (!is_store && saw_load_ && rng_.chance(params_.dep_prob)) {
-          ins.depends_on_prev_load = true;
-        }
-        if (!is_store) saw_load_ = true;
-        return ins;
-      }
+      // Skewed cold access: pick one of the warm pages and scatter it over
+      // the cold tier with an odd-multiplier bijection, so the warm set is
+      // page-sparse (a tiering policy must track pages, not ranges, to
+      // capture it).
+      skewed = warm_pages_ > 0 && rng_.chance(params_.cold_hot_prob);
     }
-    ins.addr = base + (rng_.next_below(span) & ~static_cast<Addr>(7));
-    ins.pc = pc_base + 8 * rng_.next_below(kPcsPerClass);
+    if (skewed) {
+      const Addr widx = rng_.next_below(warm_pages_);
+      const Addr page = (widx * 0x9e3779b97f4a7c15ull) & cold_page_mask_;
+      addr = base_cold_ + page * 4096 + (rng_.next_below(4096) & ~static_cast<Addr>(7));
+    } else {
+      addr = base + (rng_.next_below(span) & ~static_cast<Addr>(7));
+    }
+    pc = pc_base + 8 * rng_.next_below(kPcsPerClass);
   }
 
   // Pointer-chase dependency: the load consumes the most recent load's
   // result (intervening ALU work does not break the chain).
-  if (!is_store && saw_load_ && rng_.chance(params_.dep_prob)) {
-    ins.depends_on_prev_load = true;
+  bool dep = false;
+  if (!is_store) {
+    dep = saw_load_ && rng_.chance(params_.dep_prob);
+    saw_load_ = true;
   }
-  if (!is_store) saw_load_ = true;
+  out.kind = is_store ? InstrKind::kStore : InstrKind::kLoad;
+  out.addr = addr;
+  out.pc = pc;
+  out.depends_on_prev_load = dep;
+}
+
+Instr Generator::next() {
+  Instr ins;
+  draw(ins);
   return ins;
 }
 
 std::size_t Generator::next_batch(Instr* out, std::size_t n) {
-  // next() is defined in this TU, so the loop body inlines; the only
-  // cross-TU cost is one call for the whole chunk.
-  for (std::size_t i = 0; i < n; ++i) out[i] = next();
+  for (std::size_t i = 0; i < n; ++i) draw(out[i]);
   return n;
 }
 

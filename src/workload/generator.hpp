@@ -93,15 +93,17 @@ class Generator {
   /// Produce the next instruction of the stream.
   Instr next();
 
-  /// Chunked synthesis: produce the next `n` instructions into `out`.
-  /// Exactly equivalent to `n` next() calls (same RNG draws in the same
-  /// order), but the whole chunk is synthesized in one call so the per-
-  /// instruction dispatch cost is amortized.
+  /// Chunked synthesis: write the next `n` instructions into `out` in
+  /// place. Exactly equivalent to `n` next() calls (same RNG draws in the
+  /// same order), with no call and no Instr copy per instruction.
   std::size_t next_batch(Instr* out, std::size_t n);
 
   const WorkloadParams& params() const { return params_; }
 
  private:
+  /// Draw one instruction into `out`, overwriting every field.
+  void draw(Instr& out);
+
   WorkloadParams params_;
   Rng rng_;
   Rng phase_rng_;  ///< Seeded without the core id: phases align across

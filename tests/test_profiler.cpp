@@ -46,6 +46,26 @@ TEST_F(ProfilerTest, DisabledScopesAreInert) {
   }
 }
 
+TEST_F(ProfilerTest, SetEnabledTakesEffectOnTheInlinePath) {
+  // A scope reads the enable flag inline; flipping it between scopes must
+  // switch the very next scope on, then off again.
+  const auto idx = static_cast<std::size_t>(Phase::kWorkloadGen);
+  obs::prof::set_enabled(false);
+  { ScopedTimer t(Phase::kWorkloadGen); }
+  EXPECT_EQ(obs::prof::thread_totals().calls[idx], 0u);
+
+  obs::prof::set_enabled(true);
+  EXPECT_TRUE(obs::prof::enabled());
+  { ScopedTimer t(Phase::kWorkloadGen); }
+  { ScopedTimer t(Phase::kWorkloadGen); }
+  EXPECT_EQ(obs::prof::thread_totals().calls[idx], 2u);
+
+  obs::prof::set_enabled(false);
+  EXPECT_FALSE(obs::prof::enabled());
+  { ScopedTimer t(Phase::kWorkloadGen); }
+  EXPECT_EQ(obs::prof::thread_totals().calls[idx], 2u);
+}
+
 TEST_F(ProfilerTest, StatsJsonByteIdenticalWithProfilerCompiledInButOff) {
   obs::prof::set_enabled(false);
   const std::string a = sim::stats_json(sim::run_one(small_request()));

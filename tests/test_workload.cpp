@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 namespace coaxial::workload {
 namespace {
@@ -237,6 +239,42 @@ TEST(Generator, DistinctSeedsGiveDistinctStreams) {
     if (a.next().addr == b.next().addr) ++same;
   }
   EXPECT_LT(same, 900);
+}
+
+TEST(Generator, NextBatchMatchesNext) {
+  // next_batch() writes in place into a reused buffer (the core's fetch
+  // buffer), so every field must be overwritten; burst/gap phases flip
+  // every few thousand draws, and the twins must stay in lockstep across
+  // them for every chunk size.
+  constexpr std::size_t kDraws = 24'000;
+  for (const char* name : {"canneal", "lbm", "tiered-hotcold", "stream-copy"}) {
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+      SCOPED_TRACE(std::string(name) + " chunk " + std::to_string(chunk));
+      const WorkloadParams& p = find_workload(name);
+      Generator batch(p, 3, 11), single(p, 3, 11);
+      std::vector<Instr> buf(chunk);
+      // Poison the buffer so a field the batch path leaves unwritten shows.
+      for (Instr& in : buf) {
+        in.kind = InstrKind::kStore;
+        in.addr = ~Addr{0};
+        in.pc = ~Addr{0};
+        in.depends_on_prev_load = true;
+      }
+      std::size_t mismatches = 0;
+      for (std::size_t done = 0; done < kDraws; done += chunk) {
+        ASSERT_EQ(batch.next_batch(buf.data(), chunk), chunk);
+        for (std::size_t i = 0; i < chunk; ++i) {
+          const Instr want = single.next();
+          const Instr& got = buf[i];
+          if (got.kind != want.kind || got.addr != want.addr || got.pc != want.pc ||
+              got.depends_on_prev_load != want.depends_on_prev_load) {
+            ++mismatches;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u);
+    }
+  }
 }
 
 }  // namespace
