@@ -1,7 +1,7 @@
 // Golden-regression layer over the stats JSON documents.
 //
-// Three small (config, workload) pairs run with fixed seeds and tiny
-// instruction budgets; the emitted document is compared against the
+// The sim::golden_requests() runs, single-host and pooled, use fixed seeds
+// and tiny instruction budgets; the emitted document is compared against the
 // checked-in baseline (tests/golden/baseline.json) with the same diff
 // engine the statdiff CLI uses: counters and other integral leaves exact,
 // floating leaves (IPC, latencies, rates) within 1e-9 relative tolerance.
@@ -148,6 +148,17 @@ TEST(GoldenStats, BaselineParsesAndHasExpectedShape) {
   }
   EXPECT_TRUE(flat.count("runs/004/metrics/pool/mem/host/00/fabric/sw00/down/in00/enqueued"));
   EXPECT_GT(flat.at("runs/005/metrics/ras/avail/devices_offlined").num, 0.0);
+  // The single-host RAS rows (direct, then two-level switched) pin watchdog
+  // reissues and link-layer replays on both fabric shapes.
+  EXPECT_EQ(flat.at("runs/006/config").str, "COAXIAL-4x");
+  EXPECT_TRUE(flat.count("runs/007/metrics/mem/fabric/sw01/down/in00/enqueued"));
+  for (const char* run : {"runs/006", "runs/007"}) {
+    for (const char* leaf : {"timeouts", "replays"}) {
+      const std::string key = std::string(run) + "/metrics/ras/" + leaf;
+      ASSERT_TRUE(flat.count(key)) << key;
+      EXPECT_GT(flat.at(key).num, 0.0) << key;
+    }
+  }
 }
 
 }  // namespace
