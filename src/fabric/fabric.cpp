@@ -112,15 +112,6 @@ bool Fabric::can_send_tx(std::uint32_t dev, Cycle now) const {
   return host_tx_[port]->can_send(now) && root_down_->can_enqueue(port);
 }
 
-link::SendResult Fabric::send_tx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
-                                 std::uint64_t payload) {
-  if (direct()) return direct_links_[dev]->send_tx(bytes, now);
-  const std::uint32_t port = topo_.root_port_of(dev);
-  const link::SendResult ready = host_tx_[port]->send(bytes, now);
-  root_down_->enqueue(port, {ready.at, dev, bytes, payload, ready.poisoned});
-  return {kNoCycle, false};
-}
-
 bool Fabric::can_send_rx(std::uint32_t dev, Cycle now) const {
   if (!can_inject_rx(dev, now)) return false;
   if (direct()) return true;
@@ -129,17 +120,16 @@ bool Fabric::can_send_rx(std::uint32_t dev, Cycle now) const {
              : root_up_->can_enqueue(dev);
 }
 
-link::SendResult Fabric::send_rx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
-                                 std::uint64_t payload) {
-  if (direct()) return direct_links_[dev]->send_rx(bytes, now);
-  post_rx(dev, bytes, now, payload);
-  return {kNoCycle, false};
-}
-
 void Fabric::post_tx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
                      std::uint64_t payload) {
-  const link::SendResult sr = send_tx(dev, bytes, now, payload);
-  if (direct()) tx_out_.push_back({sr.at, dev, payload, sr.poisoned});
+  if (direct()) {
+    const link::SendResult sr = direct_links_[dev]->send_tx(bytes, now);
+    tx_out_.push_back({sr.at, dev, payload, sr.poisoned});
+    return;
+  }
+  const std::uint32_t port = topo_.root_port_of(dev);
+  const link::SendResult ready = host_tx_[port]->send(bytes, now);
+  root_down_->enqueue(port, {ready.at, dev, bytes, payload, ready.poisoned});
 }
 
 void Fabric::post_rx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
@@ -192,21 +182,19 @@ Cycle Fabric::rx_credit_cycle(std::uint32_t dev, Cycle now) const {
                   : dev_up_[dev]->credit_cycle(now);
 }
 
-Cycle Fabric::earliest_head() const {
-  if (direct()) return kNoCycle;
+Cycle Fabric::planes_head() const {
   Cycle at = std::min(root_down_->earliest_head(), root_up_->earliest_head());
   for (const auto& s : leaf_down_) at = std::min(at, s->earliest_head());
   for (const auto& s : leaf_up_) at = std::min(at, s->earliest_head());
   return at;
 }
 
-Cycle Fabric::tick(Cycle now) {
+Cycle Fabric::tick_planes(Cycle now) {
   // Idle fast path (Switch's idle contract, for every plane at once): with
   // no head arrived anywhere, no plane forwards, so nothing lands in a
   // downstream ingress and the full tick would return this same bound.
-  // Direct fabrics buffer nothing and always take it (kNoCycle). Checked
-  // before the profiler scope, like Controller::tick's wake_cache_.
-  const Cycle head = earliest_head();
+  // Checked before the profiler scope, like Controller::tick's wake_cache_.
+  const Cycle head = planes_head();
   if (head > now) return head;
   COAXIAL_PROF_SCOPE(kFabricArb);
   Cycle wake = kNoCycle;

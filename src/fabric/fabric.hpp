@@ -4,10 +4,12 @@
 // in coaxial::CxlMemory. Direct topologies are a thin pass-through over
 // real CxlLink objects (registered at the legacy `cxl/linkNN` metric paths,
 // so golden stats are byte-identical); switched topologies route messages
-// through per-plane Switch nodes and surface deliveries asynchronously via
-// tick(). One code path serves both shapes at the call site:
+// through per-plane Switch nodes. Every send is posted and every arrival
+// surfaces as a Delivery — a direct link's at once, a switched plane's at
+// the tick() that forwards it off its last hop — so one code path serves
+// both shapes at the call site:
 //
-//   if (fabric.can_send_tx(dev, now)) fabric.send_tx(dev, bytes, now, cookie);
+//   if (fabric.can_send_tx(dev, now)) fabric.post_tx(dev, bytes, now, cookie);
 //   ... fabric.tick(now); drain tx_deliveries()/rx_deliveries() ...
 //
 // Latency model per segment (P = link port traversal, S = switch port
@@ -72,30 +74,18 @@ class Fabric {
   const Topology& topology() const { return topo_; }
   const FabricConfig& config() const { return cfg_; }
 
-  // ------------------------------------------------ host -> device (down)
-  bool can_send_tx(std::uint32_t dev, Cycle now) const;
-  /// Direct: returns the device-arrival cycle (classic analytic link) plus
-  /// the message's poison flag. Switched: enqueues into the fabric and
-  /// returns kNoCycle — the arrival (and poison state) surfaces through
-  /// tx_deliveries() during a later tick().
-  link::SendResult send_tx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
-                           std::uint64_t payload);
-
-  // ------------------------------------------------ device -> host (up)
-  bool can_send_rx(std::uint32_t dev, Cycle now) const;
-  link::SendResult send_rx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
-                           std::uint64_t payload);
-  /// Earliest cycle (>= now) the device's uplink pipe has a free credit
-  /// (a full switch ingress behind it drains at its own ticks).
-  Cycle rx_credit_cycle(std::uint32_t dev, Cycle now) const;
-
   /// Posted sends report every arrival through tx_deliveries() /
   /// rx_deliveries(): a direct link's at once, a switched plane's at the
   /// tick() that forwards it off its last hop. Gate on can_send_*().
+  bool can_send_tx(std::uint32_t dev, Cycle now) const;
   void post_tx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
                std::uint64_t payload);
+  bool can_send_rx(std::uint32_t dev, Cycle now) const;
   void post_rx(std::uint32_t dev, std::uint32_t bytes, Cycle now,
                std::uint64_t payload);
+  /// Earliest cycle (>= now) the device's uplink pipe has a free credit
+  /// (a full switch ingress behind it drains at its own ticks).
+  Cycle rx_credit_cycle(std::uint32_t dev, Cycle now) const;
 
   // A posted device -> host send is inject_rx() (serialise on the device's
   // uplink pipe: a direct link's rx pipe, or the uplink into the first
@@ -119,14 +109,15 @@ class Fabric {
   /// Advance the switched planes (downstream order, so a hop's output lands
   /// in the next hop's ingress before that hop computes its wake). Fills
   /// tx_deliveries()/rx_deliveries(); returns a conservative wake bound.
-  /// Direct fabrics have no buffered state and return kNoCycle.
-  Cycle tick(Cycle now);
+  /// Direct fabrics have no buffered state and return kNoCycle inline:
+  /// single-host memory ticks them every time it ticks.
+  Cycle tick(Cycle now) { return direct() ? kNoCycle : tick_planes(now); }
   /// Earliest arrival over every switch plane's ingress heads (kNoCycle
   /// when nothing is buffered, and always for direct fabrics). Every
   /// message inside a switched fabric waits in some plane's ingress queue,
   /// so max(this, now + 1) is a sound wake bound for a message sent after
   /// this cycle's tick().
-  Cycle earliest_head() const;
+  Cycle earliest_head() const { return direct() ? kNoCycle : planes_head(); }
   std::vector<Delivery>& tx_deliveries() { return tx_out_; }
   std::vector<Delivery>& rx_deliveries() { return rx_out_; }
 
@@ -148,6 +139,8 @@ class Fabric {
  private:
   std::uint32_t leaf_of(std::uint32_t dev) const { return dev / devs_per_leaf_; }
   std::uint32_t leaf_port_of(std::uint32_t dev) const { return dev % devs_per_leaf_; }
+  Cycle tick_planes(Cycle now);
+  Cycle planes_head() const;
 
   FabricConfig cfg_;
   Topology topo_;

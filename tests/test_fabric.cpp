@@ -333,11 +333,13 @@ TEST(Fabric, OneSwitchPathAddsTwoPortTraversalsPlusReserialisation) {
   Fabric star(FabricConfig::star(1, 1), 1, lanes);
 
   const Cycle t0 = 1000;
-  const Cycle direct_arrival = direct.send_tx(0, link::kReadRequestBytes, t0, 0);
+  direct.post_tx(0, link::kReadRequestBytes, t0, 0);
+  const Cycle direct_arrival =
+      run_until_delivery(direct, direct.tx_deliveries(), t0).arrival;
   const Cycle ser = serialization_cycles(lanes.tx_goodput_gbps, link::kReadRequestBytes);
   EXPECT_EQ(direct_arrival, t0 + ser + 2 * lanes.port_latency_cycles());
 
-  star.send_tx(0, link::kReadRequestBytes, t0, 7);
+  star.post_tx(0, link::kReadRequestBytes, t0, 7);
   const Delivery d = run_until_delivery(star, star.tx_deliveries(), t0);
   EXPECT_EQ(d.payload, 7u);
   EXPECT_EQ(d.arrival, direct_arrival + 2 * S + ser);
@@ -357,8 +359,8 @@ TEST(Fabric, TwoLevelPathAddsOneMoreHopExactly) {
   Fabric tree(FabricConfig::tree(2, 1, 2), 2, lanes);
 
   const Cycle t0 = 500;
-  star.send_rx(0, link::kReadResponseBytes, t0, 1);
-  tree.send_rx(0, link::kReadResponseBytes, t0, 1);
+  star.post_rx(0, link::kReadResponseBytes, t0, 1);
+  tree.post_rx(0, link::kReadResponseBytes, t0, 1);
   const Cycle star_arrival = run_until_delivery(star, star.rx_deliveries(), t0).arrival;
   const Cycle tree_arrival = run_until_delivery(tree, tree.rx_deliveries(), t0).arrival;
   EXPECT_EQ(tree_arrival, star_arrival + 2 * S + ser);

@@ -162,14 +162,23 @@ TEST(CxlMemory, WritesConsumeTxAndComplete) {
 }
 
 TEST(CxlMemory, BackpressureUnderTxFlood) {
-  CxlMemory m(1, 1, link::LaneConfig::x8());
-  Cycle now = 10;
-  int accepted = 0;
-  while (m.can_accept(accepted, true, now) && accepted < 100000) {
-    m.access(accepted, true, now, 0);
-    ++accepted;
-  }
-  EXPECT_LT(accepted, 100000);  // Link backlog or ingress bound must engage.
+  // Flood one cycle with no tick. A posted request holds its ingress slot
+  // from access() on, drained or not, so the flood stops at exact bounds.
+  const auto flood = [](CxlMemory& m, bool is_write) {
+    const Cycle now = 10;
+    std::uint64_t accepted = 0;
+    while (accepted < 100000 && m.can_accept(accepted, is_write, now)) {
+      m.access(accepted, is_write, now, accepted);
+      ++accepted;
+    }
+    return accepted;
+  };
+  CxlMemory reads(1, 1, link::LaneConfig::x8());
+  EXPECT_EQ(flood(reads, false), 128u);  // Two sub-channels' 64-entry ingresses.
+  CxlMemory writes(1, 1, link::LaneConfig::x8());
+  EXPECT_EQ(flood(writes, true), 43u);  // The link's backlog cap engages first.
+  CxlMemory star(fabric::FabricConfig::star(1, 1), 1, 1, link::LaneConfig::x8());
+  EXPECT_EQ(flood(star, false), 64u);
 }
 
 TEST(CxlMemory, SnapshotUtilizationBounded) {
