@@ -71,11 +71,7 @@ int main() {
         } else if (policy == placement::PolicyKind::kBandwidthSpill) {
           cfg.tiering.spill_fraction = 0.10;
         }
-        sim::RunRequest req = sim::homogeneous(cfg, wl, b.warmup, b.measure, 42);
-        // Capacity through the sweep knob so the bench exercises the same
-        // override path tools use; policy stays in the config (it names it).
-        req.tier_fast_pages = cap;
-        requests.push_back(req);
+        requests.push_back(sim::homogeneous(cfg, wl, b.warmup, b.measure, 42));
       }
     }
   }

@@ -9,8 +9,9 @@ namespace coaxial::sys {
 
 namespace {
 /// The capacity side of the address space: the plain (non-tiered) topology
-/// a SystemConfig describes, with the stage-2 AddressMap injected
-/// explicitly so every address-to-device decision goes through placement.
+/// a SystemConfig describes. CxlMemory builds its own stage-2 AddressMap
+/// from the fabric, so every address-to-device decision goes through
+/// placement.
 std::unique_ptr<mem::MemorySystem> make_flat_memory(const SystemConfig& cfg,
                                                     obs::Scope scope) {
   if (cfg.topology == Topology::kDirectDdr) {
@@ -19,12 +20,9 @@ std::unique_ptr<mem::MemorySystem> make_flat_memory(const SystemConfig& cfg,
   }
   const link::LaneConfig lanes = cfg.asym_lanes ? link::LaneConfig::x8_asym(cfg.cxl_port_ns)
                                                 : link::LaneConfig::x8(cfg.cxl_port_ns);
-  placement::AddressMap stage2 = placement::AddressMap::passthrough(
-      cfg.fabric.interleave, cfg.cxl_devices(), cfg.ddr_per_device * 2,
-      cfg.fabric.page_lines, cfg.fabric.contiguous_lines);
   return std::make_unique<mem::CxlMemory>(cfg.fabric, cfg.cxl_channels, cfg.ddr_per_device,
-                                          lanes, std::move(stage2), cfg.dram_timing,
-                                          cfg.dram_geometry, scope, cfg.fault_plan);
+                                          lanes, cfg.dram_timing, cfg.dram_geometry, scope,
+                                          cfg.fault_plan);
 }
 }  // namespace
 

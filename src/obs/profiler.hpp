@@ -26,10 +26,11 @@
 //    scope reads the clock), so recursive call chains don't double-count;
 //  * `calls` counts every scope entry, including re-entrant ones.
 //
-// Publication: run_one() snapshots the calling thread's totals around
-// System::run and, when enabled, publishes the delta under `host/prof/
-// <phase>/{ns,calls}` in the run's metrics registry — an opt-in subtree,
-// exactly like `host_seconds`.
+// Publication: run_one() snapshots the calling thread's totals around every
+// driver's run() (System, ServiceDriver and PooledSystem, whose shard
+// workers' totals are folded in) and, when enabled, publishes the delta
+// under `host/prof/<phase>/{ns,calls}` in the run's metrics registry — an
+// opt-in subtree, exactly like `host_seconds`.
 #pragma once
 
 #include <atomic>

@@ -15,15 +15,6 @@ const char* policy_name(PolicyKind kind) {
   return "unknown";
 }
 
-PolicyKind policy_from_name(const std::string& name) {
-  if (name == "static_interleave") return PolicyKind::kStaticInterleave;
-  if (name == "hotness_lru") return PolicyKind::kHotnessLru;
-  if (name == "bandwidth_aware_spill") return PolicyKind::kBandwidthSpill;
-  throw std::invalid_argument(
-      "TierConfig: unknown policy \"" + name +
-      "\" (expected static_interleave | hotness_lru | bandwidth_aware_spill)");
-}
-
 void TierConfig::validate() const {
   if (!enabled) return;
   validate::require_nonzero("placement::TierConfig", "epoch_cycles", epoch_cycles);

@@ -29,8 +29,6 @@ enum class PolicyKind : std::uint8_t {
 };
 
 const char* policy_name(PolicyKind kind);
-/// Inverse of policy_name; throws std::invalid_argument for unknown names.
-PolicyKind policy_from_name(const std::string& name);
 
 /// One HDM-decoder range statically pinned to the fast tier. Both bounds
 /// are in *lines* and must be page-aligned (multiples of page_lines).

@@ -177,5 +177,24 @@ TEST_F(ProfilerTest, PooledRunsOpenShardPhasesOnDirectFabricsOnly) {
   EXPECT_GT(calls(star, "fabric_arb"), 0u);
 }
 
+// Open-loop service runs publish their profile like the other two drivers:
+// run_one times every driver's run() in one place.
+TEST_F(ProfilerTest, ServiceRunsPublishTheirProfile) {
+  sim::RunRequest req;
+  req.config = sys::coaxial_4x();
+  req.service.measure_cycles = 5'000;
+  sim::ServiceTenant tenant;
+  tenant.arrival.offered_load = 0.3;
+  req.service.tenants.push_back(tenant);
+  req.seed = 7;
+  obs::prof::set_enabled(true);
+  const sim::RunResult r = sim::run_one(req);
+  obs::prof::set_enabled(false);
+  ASSERT_TRUE(r.open_loop);
+  ASSERT_TRUE(r.metrics.count("host/prof/dram_tick/calls"));
+  EXPECT_GT(r.metrics.at("host/prof/dram_tick/calls").count, 0u);
+  EXPECT_TRUE(r.metrics.count("host/prof/dram_tick/ns"));
+}
+
 }  // namespace
 }  // namespace coaxial

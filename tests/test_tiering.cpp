@@ -88,14 +88,6 @@ TEST(TierConfig, RejectsCapacitySmallerThanPinnedFootprint) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
-TEST(TierConfig, PolicyNamesRoundTrip) {
-  for (const PolicyKind k : {PolicyKind::kStaticInterleave, PolicyKind::kHotnessLru,
-                             PolicyKind::kBandwidthSpill}) {
-    EXPECT_EQ(policy_from_name(policy_name(k)), k);
-  }
-  EXPECT_THROW(policy_from_name("bogus"), std::invalid_argument);
-}
-
 // ------------------------------------------- stage-2 pass-through fidelity
 
 void expect_passthrough_matches_router(fabric::Interleave mode) {
@@ -326,19 +318,7 @@ TEST(TieringMetrics, TierSubtreeAppearsOnlyWhenEnabled) {
 
 // -------------------------------------------------------- runner knobs
 
-TEST(TieringRunner, OverridesRequireTieredConfig) {
-  sim::RunRequest req =
-      sim::homogeneous(sys::coaxial_4x(), "tiered-hotcold", 200, 500);
-  req.tier_policy = "hotness_lru";
-  EXPECT_THROW(sim::run_one(req), std::invalid_argument);
-}
-
 TEST(TieringRunner, RejectsUnknownPolicyAndBadBudgets) {
-  sim::RunRequest req =
-      sim::homogeneous(sys::coaxial_tiered(), "tiered-hotcold", 200, 500);
-  req.tier_policy = "bogus-policy";
-  EXPECT_THROW(sim::run_one(req), std::invalid_argument);
-
   sim::RunRequest bad_cfg =
       sim::homogeneous(sys::coaxial_tiered(), "tiered-hotcold", 200, 500);
   bad_cfg.config.tiering.epoch_cycles = 0;
@@ -350,24 +330,14 @@ TEST(TieringRunner, OverridesApplyToTheRun) {
       sim::homogeneous(sys::coaxial_tiered(PolicyKind::kStaticInterleave),
                        "tiered-hotcold", 500, 2000);
   req.seed = 7;
+  // Sweeps edit the preset's tiering config; run_one takes it as given.
   req.config.tiering.promote_threshold = 1;  // Short run: promote eagerly.
-  req.tier_policy = "hotness_lru";
-  req.tier_fast_pages = 64;
-  req.tier_epoch_cycles = 300;
+  req.config.tiering.policy = PolicyKind::kHotnessLru;
+  req.config.tiering.fast_capacity_pages = 64;
+  req.config.tiering.epoch_cycles = 300;
   const sim::RunResult r = sim::run_one(req);
-  // The static config would never migrate; the overridden run does.
+  // The static preset would never migrate; the edited run does.
   EXPECT_GT(r.metrics.at("tier/promotions").count, 0u);
-}
-
-TEST(TieringRunner, InjectedCxlAddressMapMustMatchFabric) {
-  const link::LaneConfig lanes = link::LaneConfig::x8(12.5);
-  EXPECT_THROW(mem::CxlMemory(fabric::FabricConfig::direct(), 4, 1, lanes,
-                              AddressMap::passthrough(fabric::Interleave::kLine,
-                                                      /*devices=*/5, 2, 64, 1ull << 24)),
-               std::invalid_argument);
-  EXPECT_THROW(mem::CxlMemory(fabric::FabricConfig::direct(), 4, 1, lanes,
-                              AddressMap::tiered(small_tiered())),
-               std::invalid_argument);
 }
 
 }  // namespace
