@@ -9,9 +9,8 @@ namespace coaxial::sys {
 
 namespace {
 /// The capacity side of the address space: the plain (non-tiered) topology
-/// a SystemConfig describes. CxlMemory builds its own stage-2 AddressMap
-/// from the fabric, so every address-to-device decision goes through
-/// placement.
+/// a SystemConfig describes. CxlMemory builds its own stage-2 Router from
+/// the fabric, so every address-to-device decision goes through it.
 std::unique_ptr<mem::MemorySystem> make_flat_memory(const SystemConfig& cfg,
                                                     obs::Scope scope) {
   if (cfg.topology == Topology::kDirectDdr) {

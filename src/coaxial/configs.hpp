@@ -90,8 +90,8 @@ struct SystemConfig {
   ras::FaultPlan fault_plan;
 
   /// Tiered placement (DESIGN.md §10). Disabled by default — the memory
-  /// system is then the plain topology above with a pass-through
-  /// AddressMap, byte-identical to the pre-tiering model. When enabled,
+  /// system is then the plain topology above behind its stage-2 Router,
+  /// byte-identical to the pre-tiering model. When enabled,
   /// `tiering.fast_ddr_channels` local DDR channels become tier 0 and the
   /// topology above becomes the capacity tier behind hot-page migration.
   placement::TierConfig tiering;

@@ -122,13 +122,6 @@ dram::ControllerStats DirectDdrMemory::aggregate_dram_stats() const {
 
 // ----------------------------------------------------------------- COAXIAL
 
-CxlMemory::CxlMemory(std::uint32_t cxl_channels, std::uint32_t ddr_per_device,
-                     const link::LaneConfig& lanes, const dram::Timing& timing,
-                     const dram::Geometry& geometry, obs::Scope scope,
-                     const ras::FaultPlan& plan)
-    : CxlMemory(fabric::FabricConfig::direct(), cxl_channels, ddr_per_device, lanes,
-                timing, geometry, scope, plan) {}
-
 CxlMemory::CxlMemory(const fabric::FabricConfig& fab, std::uint32_t cxl_channels,
                      std::uint32_t ddr_per_device, const link::LaneConfig& lanes,
                      const dram::Timing& timing, const dram::Geometry& geometry,
@@ -138,12 +131,8 @@ CxlMemory::CxlMemory(const fabric::FabricConfig& fab, std::uint32_t cxl_channels
       lane_cfg_(lanes),
       plan_(plan),
       fabric_(std::make_unique<fabric::Fabric>(fab, cxl_channels, lanes, scope)),
-      amap_(placement::AddressMap::passthrough(fab.interleave, fabric_->devices(),
-                                               ddr_per_device * 2, fab.page_lines,
-                                               fab.contiguous_lines)) {
-  // Debug guard: any decode past the fabric's device list now throws
-  // instead of silently misrouting into per-device state.
-  amap_.set_device_bound(fabric_->devices());
+      router_(fab.interleave, fabric_->devices(), ddr_per_device * 2, fab.page_lines,
+              fab.contiguous_lines) {
   plan_.validate();
   fabric_->arm_faults(plan_);
   n_devices_ = fabric_->devices();
@@ -166,39 +155,11 @@ CxlMemory::CxlMemory(const fabric::FabricConfig& fab, std::uint32_t cxl_channels
   sub_reads_outstanding_.assign(n_sub, 0);
   out_.reserve(64);
   inflight_.reserve(256);
-  free_slots_.reserve(256);
   if (scope.valid()) register_aggregate_probes(scope, *this);
 }
 
-std::uint32_t CxlMemory::alloc_slot(std::uint64_t token) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(inflight_.size());
-    inflight_.emplace_back();
-    slot_token_.emplace_back();
-  }
-  slot_token_[slot] = token;
-  return slot;
-}
-
-std::uint32_t CxlMemory::alloc_fmsg(const FabricTxMsg& msg) {
-  std::uint32_t m;
-  if (!free_fmsgs_.empty()) {
-    m = free_fmsgs_.back();
-    free_fmsgs_.pop_back();
-  } else {
-    m = static_cast<std::uint32_t>(fmsg_pool_.size());
-    fmsg_pool_.emplace_back();
-  }
-  fmsg_pool_[m] = msg;
-  return m;
-}
-
 bool CxlMemory::can_accept(Addr line, bool is_write, Cycle now) const {
-  const fabric::Router::Route r = amap_.route(line);
+  const fabric::Router::Route r = router_.route(line);
   // A refused device is a sink, never backpressure: access() completes the
   // read poisoned (or loses the write) immediately, so callers that park on
   // can_accept() can never wedge behind a dead device.
@@ -211,7 +172,7 @@ bool CxlMemory::can_accept(Addr line, bool is_write, Cycle now) const {
 }
 
 void CxlMemory::access(Addr line, bool is_write, Cycle now, std::uint64_t token) {
-  const fabric::Router::Route r = amap_.route(line);
+  const fabric::Router::Route r = router_.route(line);
   if (dev_refuses(r.device)) {
     if (is_write) {
       ++avail_.lost_writes;
@@ -233,9 +194,9 @@ void CxlMemory::access(Addr line, bool is_write, Cycle now, std::uint64_t token)
   std::uint32_t slot = 0;
   std::uint32_t bytes = link::kWriteMessageBytes;
   if (!is_write) {
-    slot = alloc_slot(token);
+    slot = inflight_.acquire();
     InflightRead& fl = inflight_[slot];
-    fl = InflightRead{};  // Slots are recycled; clear stale RAS state.
+    fl.token = token;
     fl.start = now;
     fl.device = r.device;
     fl.sub = r.sub;
@@ -250,7 +211,7 @@ void CxlMemory::access(Addr line, bool is_write, Cycle now, std::uint64_t token)
 
 void CxlMemory::post_request(std::uint32_t device, const FabricTxMsg& msg,
                              std::uint32_t bytes, Cycle now) {
-  fabric_->post_tx(device, bytes, now, alloc_fmsg(msg));
+  fabric_->post_tx(device, bytes, now, fmsgs_.acquire(msg));
   ++fabric_tx_inflight_[msg.sub];
 }
 
@@ -258,7 +219,8 @@ void CxlMemory::take_tx(Cycle now) {
   // Requests that finished crossing the fabric land in the device ingress.
   std::vector<fabric::Delivery>& deliveries = fabric_->tx_deliveries();
   for (const fabric::Delivery& d : deliveries) {
-    const FabricTxMsg& fm = fmsg_pool_[static_cast<std::uint32_t>(d.payload)];
+    const std::uint32_t m = static_cast<std::uint32_t>(d.payload);
+    const FabricTxMsg& fm = fmsgs_[m];
     if (dev_dead(d.device)) {
       // The device died while this request was crossing the fabric:
       // bounce it at the dead link instead of admitting it.
@@ -276,7 +238,7 @@ void CxlMemory::take_tx(Cycle now) {
       sub_wake_[fm.sub] = std::min(sub_wake_[fm.sub], d.arrival);
     }
     --fabric_tx_inflight_[fm.sub];
-    free_fmsgs_.push_back(static_cast<std::uint32_t>(d.payload));
+    fmsgs_.release(m);
   }
   deliveries.clear();
 }
@@ -302,7 +264,7 @@ void CxlMemory::finish_read(std::uint32_t slot, Cycle arrival, bool wire_poisone
   ++reads_done_;
 
   MemCompletion mc;
-  mc.token = slot_token_[slot];
+  mc.token = info.token;
   mc.done = arrival;
   mc.dram_service = info.dram_service;
   // Device-side scheduling beyond the unloaded component counts as
@@ -314,7 +276,7 @@ void CxlMemory::finish_read(std::uint32_t slot, Cycle arrival, bool wire_poisone
   out_.push_back(mc);
   info.deadline = kNoCycle;  // Stop the watchdog; the slot is free again.
   info.dup_pending = false;
-  free_slots_.push_back(slot);
+  inflight_.release(slot);
 }
 
 void CxlMemory::bounce_read(std::uint32_t slot, Cycle done) {

@@ -14,13 +14,14 @@
 #include <memory>
 #include <vector>
 
+#include "common/slot_pool.hpp"
 #include "common/units.hpp"
 #include "dram/controller.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/router.hpp"
 #include "link/cxl_link.hpp"
 #include "obs/metrics.hpp"
-#include "placement/address_map.hpp"
+#include "placement/tier_config.hpp"
 #include "ras/fault_plan.hpp"
 
 namespace coaxial::mem {
@@ -184,25 +185,19 @@ class DirectDdrMemory final : public MemorySystem {
 /// COAXIAL: Type-3 devices hosting `ddr_per_device` DDR5 channels each
 /// (1 normally, 2 for COAXIAL-asym), reached through a fabric::Fabric —
 /// direct x8 CXL links by default, or switched star/tree topologies with
-/// more devices than root ports. Cross-device placement is delegated to a
-/// pass-through placement::AddressMap wrapping the stage-2 fabric::Router
-/// (per-line by default; per-page / contiguous for the switched configs).
+/// more devices than root ports. Cross-device placement is the stage-2
+/// fabric::Router (per-line by default; per-page / contiguous for the
+/// switched configs).
 class CxlMemory final : public MemorySystem {
  public:
-  /// Legacy direct wiring: `cxl_channels` x8 links, one device per link.
-  /// `scope`, when valid, registers per-link metrics under `cxl/linkNN`,
-  /// per-sub-channel controller metrics under `dram/ctrlNN`, and aggregate
-  /// read/write/bandwidth probes.
-  CxlMemory(std::uint32_t cxl_channels, std::uint32_t ddr_per_device,
-            const link::LaneConfig& lanes, const dram::Timing& timing = {},
-            const dram::Geometry& geometry = {}, obs::Scope scope = {},
-            const ras::FaultPlan& plan = {});
-
-  /// General form: topology and interleaving from `fab` (zero counts
-  /// inherit `cxl_channels`); the stage-2 pass-through AddressMap is built
-  /// from `fab`'s interleave fields over the resolved device count.
-  /// Switched fabrics additionally register per-switch/per-port metrics
-  /// under `fabric/*`. A `plan` with faults enabled arms CRC/replay/
+  /// Topology and interleaving from `fab` (zero counts inherit
+  /// `cxl_channels`; FabricConfig::direct() gives one x8 link per device);
+  /// the stage-2 Router is built from `fab`'s interleave fields over the
+  /// resolved device count. `scope`, when valid, registers per-link metrics
+  /// under `cxl/linkNN`, per-sub-channel controller metrics under
+  /// `dram/ctrlNN`, and aggregate read/write/bandwidth probes; switched
+  /// fabrics add per-switch/per-port metrics under `fabric/*`. A `plan`
+  /// with faults enabled arms CRC/replay/
   /// down-training on every fabric segment, device stall windows, and the
   /// request-timeout watchdog (DESIGN.md §7).
   CxlMemory(const fabric::FabricConfig& fab, std::uint32_t cxl_channels,
@@ -217,7 +212,7 @@ class CxlMemory final : public MemorySystem {
   std::vector<MemCompletion>& completions() override { return out_; }
   std::uint32_t ports() const override { return fabric_->host_links(); }
   std::uint32_t port_of(Addr line) const override {
-    return fabric_->root_port_of(amap_.device_of(line));
+    return fabric_->root_port_of(router_.device_of(line));
   }
   MemorySnapshot snapshot() const override;
   void reset_stats() override;
@@ -251,7 +246,7 @@ class CxlMemory final : public MemorySystem {
   void offline_device(std::uint32_t device) override;
   void set_offline_hold(bool hold) override { offline_hold_ = hold; }
   std::uint32_t device_of_line(Addr line) const override {
-    return amap_.device_of(line);
+    return router_.device_of(line);
   }
 
  private:
@@ -270,6 +265,7 @@ class CxlMemory final : public MemorySystem {
     Cycle dram_queue = 0;
   };
   struct InflightRead {
+    std::uint64_t token = 0;  ///< The caller's access() token.
     Cycle start = 0;
     Cycle device_arrival = 0;
     Cycle dram_enqueue = 0;
@@ -307,7 +303,7 @@ class CxlMemory final : public MemorySystem {
   ras::RasCounters ras_dev_;  ///< Device/watchdog events (timeouts, dups, ...).
 
   std::unique_ptr<fabric::Fabric> fabric_;
-  placement::AddressMap amap_;  ///< Stage-2 pass-through placement.
+  fabric::Router router_;  ///< Stage-2 placement.
   std::vector<std::unique_ptr<dram::Controller>> ctrls_;           // per sub-channel
   std::vector<std::deque<DeviceMsg>> device_ingress_;              // per sub-channel
   std::vector<Cycle> sub_wake_;  // next cycle each sub-channel could act
@@ -322,11 +318,8 @@ class CxlMemory final : public MemorySystem {
   std::vector<Cycle> pending_ready_;
   bool force_tick_ = false;
   std::vector<MemCompletion> out_;
-  std::vector<InflightRead> inflight_;  // slot-addressed by internal id
-  std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint64_t> slot_token_;
-  std::vector<FabricTxMsg> fmsg_pool_;  // in-fabric request cookies
-  std::vector<std::uint32_t> free_fmsgs_;
+  SlotPool<InflightRead> inflight_;  // read slots: the DRAM token
+  SlotPool<FabricTxMsg> fmsgs_;     // in-fabric request cookies
 
   // Read-latency decomposition accumulators (see MemorySnapshot).
   double cxl_interface_sum_ = 0;
@@ -373,8 +366,6 @@ class CxlMemory final : public MemorySystem {
   /// it as bounced; writes are counted lost by the callers directly.
   void bounce_read(std::uint32_t slot, Cycle done);
 
-  std::uint32_t alloc_slot(std::uint64_t token);
-  std::uint32_t alloc_fmsg(const FabricTxMsg& msg);
   /// Post a request (access() or a watchdog duplicate) to `device`; it
   /// holds its ingress slot from here until take_tx() admits it.
   void post_request(std::uint32_t device, const FabricTxMsg& msg, std::uint32_t bytes,

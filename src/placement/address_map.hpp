@@ -1,15 +1,9 @@
-// Two-stage address translation (DESIGN.md §10).
+// Two-stage address translation (DESIGN.md §10), stage 1.
 //
-// An AddressMap is the single object behind every address-to-device
-// decision. It runs in one of two modes:
-//
-//  * pass-through — stage 2 only: wraps the legacy fabric::Router and
-//    reproduces its kLine/kPage/kContiguous arithmetic byte-identically.
-//    CxlMemory owns one of these instead of a raw Router.
-//  * tiered — stage 1: an HDM-decoder-style range decode assigns each page
-//    to tier 0 (fast local DDR) or tier 1 (CXL capacity), with a dynamic
-//    per-page remap table layered on top. TieredMemory owns one of these;
-//    each tier's memory system then applies its own stage 2 internally.
+// An AddressMap is an HDM-decoder-style range decode that assigns each page
+// to tier 0 (fast local DDR) or tier 1 (CXL capacity), with a dynamic
+// per-page remap table layered on top. TieredMemory owns one; each tier's
+// memory system then applies its own stage 2 (a fabric::Router) internally.
 //
 // All mutating calls (remap installs, frame allocation, migrating marks)
 // happen only from TieredMemory::tick() at deterministic cycles; the
@@ -23,7 +17,6 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "fabric/router.hpp"
 #include "placement/tier_config.hpp"
 
 namespace coaxial::placement {
@@ -72,41 +65,10 @@ class PageHeat {
 
 class AddressMap {
  public:
-  /// Stage-2 pass-through: byte-identical to the legacy Router wiring.
-  static AddressMap passthrough(fabric::Interleave policy, std::uint32_t devices,
-                                std::uint32_t subs_per_device, std::uint32_t page_lines,
-                                std::uint64_t contiguous_lines);
-
   /// Stage-1 tiered decode for `cfg` (validates; throws on bad config).
   static AddressMap tiered(const TierConfig& cfg);
 
-  bool tiered_mode() const { return tiered_; }
-
-  // ---- pass-through (stage 2) API ----
-
-  fabric::Router::Route route(Addr line) const {
-    fabric::Router::Route r = router_.route(line);
-    check_device(r.device);
-    return r;
-  }
-  std::uint32_t device_of(Addr line) const {
-    const std::uint32_t dev = router_.device_of(line);
-    check_device(dev);
-    return dev;
-  }
-  std::uint32_t devices() const { return devices_; }
-  fabric::Interleave interleave() const { return router_.policy(); }
-
-  /// Debug guard against stage-2 / fabric disagreement: once the owning
-  /// memory system declares the fabric's device count, any decode landing
-  /// at or past it throws std::logic_error in debug builds instead of
-  /// silently indexing past the per-device state. 0 (the default) disables
-  /// the check; release builds compile it out entirely.
-  void set_device_bound(std::uint32_t fabric_devices) {
-    device_bound_ = fabric_devices;
-  }
-
-  // ---- tiered (stage 1) API: lookups (pure) ----
+  // ---- lookups (pure) ----
 
   Addr page_of(Addr line) const { return line / cfg_.page_lines; }
 
@@ -132,7 +94,7 @@ class AddressMap {
   };
   const std::vector<FrameMeta>& frames() const { return frames_; }
 
-  // ---- tiered API: mutations (TieredMemory::tick() only) ----
+  // ---- mutations (TieredMemory::tick() only) ----
 
   /// Reserve the lowest free dynamic frame for an in-flight promotion.
   /// The frame is in_use but unmapped until install_promotion().
@@ -160,32 +122,12 @@ class AddressMap {
  private:
   AddressMap() = default;
 
-  // Active in debug builds; COAXIAL_DEVICE_BOUND_CHECK re-enables it in
-  // optimised translation units (the negative test compiles with it so the
-  // guard is exercised whatever the library build type).
-  void check_device(std::uint32_t dev) const {
-#if !defined(NDEBUG) || defined(COAXIAL_DEVICE_BOUND_CHECK)
-    if (device_bound_ != 0 && dev >= device_bound_) throw_device_bound(dev);
-#endif
-    (void)dev;
-  }
-
-  /// Out-of-line so the header stays free of <stdexcept> formatting.
-  [[noreturn]] void throw_device_bound(std::uint32_t dev) const;
-
   /// Index into ranges_ containing `page`, or -1.
   int range_of(Addr page) const;
 
   /// Restore the min-heap property after push_back on free_.
   void push_free(std::uint32_t frame);
 
-  // Pass-through state.
-  bool tiered_ = false;
-  std::uint32_t devices_ = 1;
-  std::uint32_t device_bound_ = 0;  ///< Fabric device count; 0 = unchecked.
-  fabric::Router router_{fabric::Interleave::kLine, 1, 1, 1, 1};
-
-  // Tiered state.
   TierConfig cfg_;
   struct DecodedRange {
     Addr base_page = 0;

@@ -183,8 +183,7 @@ void TieredMemory::pump_migrations(Cycle now) {
           cap_->failure_status().phase >= ras::FailureStatus::Phase::kDraining) {
         retire_page(job.page);
       }
-      job = MigrationJob{};
-      free_jobs_.push_back(id);
+      jobs_.release(id);
       active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
       continue;
     }
@@ -233,8 +232,7 @@ void TieredMemory::process_barrier() {
       amap_.release_frame(job.frame);
       amap_.set_migrating(job.page, false);
       ++avail_.evac_aborts;
-      job = MigrationJob{};
-      free_jobs_.push_back(id);
+      jobs_.release(id);
       continue;
     }
     if (job.promote) {
@@ -252,8 +250,7 @@ void TieredMemory::process_barrier() {
       evac_pending_.erase(job.page);
     }
     amap_.set_migrating(job.page, false);
-    job = MigrationJob{};
-    free_jobs_.push_back(id);
+    jobs_.release(id);
   }
   completed_.clear();
 
@@ -388,16 +385,8 @@ void TieredMemory::retire_page(Addr page) {
 }
 
 void TieredMemory::start_job(Addr page, std::uint32_t frame, bool promote, bool evac) {
-  std::uint32_t id;
-  if (!free_jobs_.empty()) {
-    id = free_jobs_.back();
-    free_jobs_.pop_back();
-  } else {
-    id = static_cast<std::uint32_t>(jobs_.size());
-    jobs_.emplace_back();
-  }
+  const std::uint32_t id = jobs_.acquire();
   MigrationJob& job = jobs_[id];
-  job = MigrationJob{};
   job.page = page;
   job.frame = frame;
   job.promote = promote;

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "coaxial/memory_system.hpp"
+#include "common/slot_pool.hpp"
 #include "obs/metrics.hpp"
 #include "placement/address_map.hpp"
 #include "placement/policy.hpp"
@@ -137,8 +138,7 @@ class TieredMemory final : public mem::MemorySystem {
   std::uint64_t epoch_index_ = 0;
   Cycle next_barrier_ = 0;
 
-  std::vector<MigrationJob> jobs_;     ///< Slot-addressed, recycled.
-  std::vector<std::uint32_t> free_jobs_;
+  SlotPool<MigrationJob> jobs_;        ///< Id rides the copy reads' tokens.
   std::deque<std::uint32_t> backlog_;  ///< Planned, waiting for a copy slot.
   std::vector<std::uint32_t> active_;  ///< Copying now (<= max_concurrent).
   std::vector<std::uint32_t> completed_;  ///< Copied, awaiting install.

@@ -94,20 +94,14 @@ PooledMemory::PooledMemory(const PoolConfig& cfg, obs::Scope scope)
       p_devs_(cfg.private_devices),
       s_subs_(cfg.shared_devices * cfg.subchannels_per_device()),
       p_subs_(cfg.private_devices * cfg.subchannels_per_device()),
-      shared_map_(placement::AddressMap::passthrough(
-          fabric::Interleave::kPage, cfg.shared_devices,
-          cfg.subchannels_per_device(), cfg.page_lines, 1ull << 24)),
-      private_map_(placement::AddressMap::passthrough(
-          fabric::Interleave::kLine, cfg.private_devices,
-          cfg.subchannels_per_device(), cfg.page_lines, 1ull << 24)) {
+      shared_map_(fabric::Interleave::kPage, cfg.shared_devices,
+                  cfg.subchannels_per_device(), cfg.page_lines, 1ull << 24),
+      private_map_(fabric::Interleave::kLine, cfg.private_devices,
+                   cfg.subchannels_per_device(), cfg.page_lines, 1ull << 24) {
   cfg_.validate();
   if (!cfg_.enabled()) {
     throw std::invalid_argument("pool::PooledMemory: n_hosts == 0");
   }
-  // Stage-2 decodes may never reach past their device class.
-  shared_map_.set_device_bound(s_devs_);
-  private_map_.set_device_bound(p_devs_);
-
   // Stage 1: every host programs the same HDM layout, but owns its own
   // decoder instance (per-host map state, like per-host HDM registers).
   const placement::TierConfig tc = shared_window_decode(cfg_);
@@ -173,16 +167,13 @@ PooledMemory::PooledMemory(const PoolConfig& cfg, obs::Scope scope)
   priv_wake_.assign(n_hosts_, std::vector<Cycle>(p_subs_, 0));
   tx_inflight_priv_.assign(n_hosts_, std::vector<std::uint32_t>(p_subs_, 0));
   down_msgs_.resize(n_hosts_);
-  down_free_.resize(n_hosts_);
 
   inflight_.resize(n_hosts_);
-  free_slots_.resize(n_hosts_);
   pending_rx_.resize(n_hosts_);
   pending_rx_priv_.resize(n_hosts_);
   pending_rx_ready_.assign(n_hosts_, kNoCycle);
   pending_rx_priv_ready_.assign(n_hosts_, kNoCycle);
   out_.resize(n_hosts_);
-  inflight_reads_.assign(n_hosts_, 0);
   host_invals_.resize(n_hosts_);
   txns_per_dev_.assign(s_devs_, 0);
 
@@ -213,56 +204,10 @@ Cycle PooledMemory::min_cross_shard_latency() const {
   return std::max<Cycle>(q, 1);
 }
 
-std::uint32_t PooledMemory::alloc_slot(std::uint32_t host, std::uint64_t token,
-                                       Cycle now) {
-  auto& fl = inflight_[host];
-  auto& free = free_slots_[host];
-  std::uint32_t slot;
-  if (!free.empty()) {
-    slot = free.back();
-    free.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(fl.size());
-    fl.emplace_back();
-  }
-  fl[slot] = {token, now, true};
-  ++inflight_reads_[host];
-  return slot;
-}
-
 void PooledMemory::finish_read(std::uint32_t host, std::uint32_t slot,
                                Cycle arrival, bool poisoned) {
-  InflightRead& fl = inflight_[host][slot];
-  assert(fl.busy);
-  out_[host].push_back({fl.token, arrival, poisoned});
-  fl.busy = false;
-  free_slots_[host].push_back(slot);
-  --inflight_reads_[host];
-}
-
-std::uint32_t PooledMemory::alloc_txn() {
-  if (!free_txns_.empty()) {
-    const std::uint32_t t = free_txns_.back();
-    free_txns_.pop_back();
-    return t;
-  }
-  txns_.emplace_back();
-  return static_cast<std::uint32_t>(txns_.size() - 1);
-}
-
-std::uint32_t PooledMemory::park_down(std::uint32_t host, const DemandMail& dm) {
-  auto& msgs = down_msgs_[host];
-  auto& free = down_free_[host];
-  std::uint32_t m;
-  if (!free.empty()) {
-    m = free.back();
-    free.pop_back();
-  } else {
-    m = static_cast<std::uint32_t>(msgs.size());
-    msgs.emplace_back();
-  }
-  msgs[m] = dm;
-  return m;
+  out_[host].push_back({inflight_[host][slot], arrival, poisoned});
+  inflight_[host].release(slot);
 }
 
 void PooledMemory::take_down(std::uint32_t host) {
@@ -274,7 +219,7 @@ void PooledMemory::take_down(std::uint32_t host) {
       continue;
     }
     DemandMail dm = down_msgs_[host][index];
-    down_free_[host].push_back(index);
+    down_msgs_[host].release(index);
     dm.msg.arrival = d.arrival;
     dm.msg.poisoned = d.poisoned;
     if (d.device < s_devs_) {
@@ -368,7 +313,7 @@ void PooledMemory::access(std::uint32_t host, Addr line, bool is_write, Cycle no
   msg.page = shared ? t.local_line / cfg_.page_lines : 0;
   std::uint32_t bytes = link::kWriteMessageBytes;
   if (!is_write) {
-    msg.token = alloc_slot(host, token, now);
+    msg.token = inflight_[host].acquire(token);
     bytes = link::kReadRequestBytes;
   }
 
@@ -381,16 +326,15 @@ void PooledMemory::access(std::uint32_t host, Addr line, bool is_write, Cycle no
     ++tx_inflight_priv_[host][r.sub];
   }
   fab_[host]->post_tx(fab_dev, bytes, now,
-                      wire(false, false, park_down(host, {msg, r.sub})));
+                      wire(false, false, down_msgs_[host].acquire({msg, r.sub})));
   take_down(host);
 }
 
 bool PooledMemory::start_txn(const Directory::Decision& d, const DeviceMsg& msg,
                              std::uint32_t host, std::uint32_t shared_sub,
                              Cycle now) {
-  const std::uint32_t t = alloc_txn();
+  const std::uint32_t t = txns_.acquire();
   CohTxn& x = txns_[t];
-  x = CohTxn{};
   x.live = true;
   x.sdev = shared_sub / spd_;
   x.page = msg.page;
@@ -414,7 +358,6 @@ bool PooledMemory::start_txn(const Directory::Decision& d, const DeviceMsg& msg,
   }
   ++ctr_.txns;
   ++txns_per_dev_[x.sdev];
-  ++live_txns_;
   return pump_txn_sends(t, now);
 }
 
@@ -514,8 +457,7 @@ Cycle PooledMemory::pool_tick(Cycle now) {
       if (!x.recovery) bounce_msg(x.park_host, x.parked, now);
       x.live = false;
       --txns_per_dev_[x.sdev];
-      --live_txns_;
-      free_txns_.push_back(t);
+      txns_.release(t);
       continue;
     }
     dram::Controller& ctrl = *shared_ctrls_[x.park_sub];
@@ -533,8 +475,7 @@ Cycle PooledMemory::pool_tick(Cycle now) {
     }
     x.live = false;
     --txns_per_dev_[x.sdev];
-    --live_txns_;
-    free_txns_.push_back(t);
+    txns_.release(t);
   }
 
   // -- Phase D: pooled sub-channels — recall writebacks, merged admission
@@ -948,9 +889,8 @@ Cycle PooledMemory::pump_pool_failure(Cycle now) {
          txns_per_dev_[fail_dev_] < cfg_.directory_max_txns) {
     const auto [page, mask] = recovery_q_.front();
     recovery_q_.pop_front();
-    const std::uint32_t t = alloc_txn();
+    const std::uint32_t t = txns_.acquire();
     CohTxn& x = txns_[t];
-    x = CohTxn{};
     x.live = true;
     x.recovery = true;
     x.sdev = fail_dev_;
@@ -960,7 +900,6 @@ Cycle PooledMemory::pump_pool_failure(Cycle now) {
     avail_.recovery_invals += x.acks_pending;
     ++ctr_.txns;
     ++txns_per_dev_[fail_dev_];
-    ++live_txns_;
     pump_txn_sends(t, now);
   }
   return recovery_q_.empty() ? kNoCycle : now + 1;
@@ -1012,7 +951,7 @@ std::string PooledMemory::pending_work() const {
     return n;
   };
   std::uint64_t reads = 0;
-  for (const std::uint64_t n : inflight_reads_) reads += n;
+  for (const auto& slots : inflight_) reads += slots.live();
   std::uint64_t shared_ingress = 0;
   for (const auto& per_host : shared_ingress_) shared_ingress += total(per_host);
   std::uint64_t priv_ingress = 0;
@@ -1025,7 +964,7 @@ std::string PooledMemory::pending_work() const {
   note("priv_ingress", priv_ingress);
   note("pending_rx", total(pending_rx_));
   note("pending_rx_priv", total(pending_rx_priv_));
-  note("live_txns", live_txns_);
+  note("live_txns", txns_.live());
   note("dev_acks", dev_acks_.size());
   note("host_invals", total(host_invals_));
   note("pending_wbs", pending_wbs_.size());

@@ -58,10 +58,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/slot_pool.hpp"
 #include "common/units.hpp"
 #include "dram/controller.hpp"
 #include "fabric/fabric.hpp"
 #include "obs/metrics.hpp"
+#include "fabric/router.hpp"
 #include "placement/address_map.hpp"
 #include "pool/directory.hpp"
 #include "pool/pool_config.hpp"
@@ -164,13 +166,6 @@ class PooledMemory {
     bool poisoned = false;    ///< Request poisoned crossing the fabric.
   };
 
-  // A read in flight for one host.
-  struct InflightRead {
-    std::uint64_t token = 0;
-    Cycle start = 0;
-    bool busy = false;
-  };
-
   // A DRAM read completion waiting for return-path credit.
   struct PendingResponse {
     Cycle ready = 0;
@@ -249,10 +244,8 @@ class PooledMemory {
     return avail_on_ && fail_at_ != kNoCycle && now > fail_at_;
   }
 
-  std::uint32_t alloc_slot(std::uint32_t host, std::uint64_t token, Cycle now);
   void finish_read(std::uint32_t host, std::uint32_t slot, Cycle arrival,
                    bool poisoned);
-  std::uint32_t alloc_txn();
   /// Both return true while the transaction still has an invalidation to
   /// send (its target's return path was out of credit).
   bool start_txn(const Directory::Decision& d, const DeviceMsg& msg,
@@ -263,8 +256,6 @@ class PooledMemory {
   // its deliveries (at once on a direct link, at the tick that forwards it
   // off its last hop on a switched one), and every post or tick is
   // followed by a take, so delivery vectors are empty between calls.
-  /// Hold a demand host-side while it crosses the head; returns its index.
-  std::uint32_t park_down(std::uint32_t host, const DemandMail& dm);
   /// Route `host`'s tx deliveries: shared devices' into the pool's
   /// mailboxes, private devices' into their ingress.
   void take_down(std::uint32_t host);
@@ -314,8 +305,8 @@ class PooledMemory {
   // per device class. Lookups are pure (no mutable state), so host shards
   // may translate concurrently.
   std::vector<placement::AddressMap> stage1_;
-  placement::AddressMap shared_map_;   ///< kPage over pooled devices.
-  placement::AddressMap private_map_;  ///< kLine over private devices.
+  fabric::Router shared_map_;   ///< kPage over pooled devices.
+  fabric::Router private_map_;  ///< kLine over private devices.
 
   // Per host. A head belongs to its host shard, except the shared devices'
   // uplink pipes, which the pool shard ships on (Fabric::inject_rx).
@@ -341,14 +332,12 @@ class PooledMemory {
   /// [host][sub]: private demands still crossing the head (they own their
   /// ingress slot from send time).
   std::vector<std::vector<std::uint32_t>> tx_inflight_priv_;
-  /// Per host: demands crossing the head, indexed by their wire payload,
-  /// with a free list (host shard).
-  std::vector<std::vector<DemandMail>> down_msgs_;
-  std::vector<std::vector<std::uint32_t>> down_free_;
+  /// Per host: demands crossing the head, indexed by their wire payload
+  /// (host shard).
+  std::vector<SlotPool<DemandMail>> down_msgs_;
 
   // Per-host read slots and return-path queues (host shard).
-  std::vector<std::vector<InflightRead>> inflight_;     ///< [host][slot].
-  std::vector<std::vector<std::uint32_t>> free_slots_;  ///< [host].
+  std::vector<SlotPool<std::uint64_t>> inflight_;  ///< [host][slot]: caller token.
   std::vector<std::vector<PendingResponse>> pending_rx_;      ///< Shared class.
   std::vector<std::vector<PendingResponse>> pending_rx_priv_; ///< Private class.
   // Earliest `ready` in each host's pending_rx_ / pending_rx_priv_
@@ -358,14 +347,11 @@ class PooledMemory {
   std::vector<Cycle> pending_rx_ready_;
   std::vector<Cycle> pending_rx_priv_ready_;
   std::vector<std::vector<HostCompletion>> out_;
-  std::vector<std::uint64_t> inflight_reads_;  ///< Per host (owner-written).
 
   // Coherence machinery (pool shard; host_invals_ belongs to the hosts).
   std::vector<std::unique_ptr<Directory>> dirs_;  ///< Per pooled device.
-  std::vector<CohTxn> txns_;
-  std::vector<std::uint32_t> free_txns_;
+  SlotPool<CohTxn> txns_;
   std::vector<std::uint32_t> txns_per_dev_;
-  std::uint32_t live_txns_ = 0;
   std::vector<std::vector<HostInval>> host_invals_;  ///< [host].
   std::vector<DevAck> dev_acks_;
   std::vector<PendingWb> pending_wbs_;

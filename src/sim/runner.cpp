@@ -79,10 +79,7 @@ RunResult run_service(const RunRequest& request) {
 RunResult run_pooled(const RunRequest& request) {
   PooledSystem system(request.pool, request.seed);
   system.set_tick_every_cycle(request.tick_every_cycle);
-  // Shard workers (DESIGN.md §14), bounded by the harness cap (run_many).
-  std::uint32_t want = std::max(request.shards, 1u);
-  if (request.shard_cap != 0) want = std::min(want, request.shard_cap);
-  system.set_workers(want);
+  system.set_workers(request.shards);  // Shard workers, DESIGN.md §14.
 
   const RunTimer timer;
   const PooledStats stats = system.run(request.warmup_instr, request.measure_instr);
@@ -181,17 +178,8 @@ std::vector<RunResult> run_many(const std::vector<RunRequest>& requests,
                                 std::size_t threads) {
   std::vector<RunResult> results(requests.size());
   ThreadPool pool(threads == 0 ? std::thread::hardware_concurrency() : threads);
-  // Outer run-level parallelism composes with intra-run shard workers;
-  // cap the inner count so outer x inner never oversubscribes the machine.
-  // Caps are pure scheduling — they cannot change any run's stats.
-  const std::uint32_t cap = static_cast<std::uint32_t>(
-      inner_shard_cap(pool.size(), std::thread::hardware_concurrency()));
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    pool.submit([&, i, cap] {
-      RunRequest req = requests[i];
-      if (req.shard_cap == 0 || cap < req.shard_cap) req.shard_cap = cap;
-      results[i] = run_one(req);
-    });
+    pool.submit([&, i] { results[i] = run_one(requests[i]); });
   }
   pool.wait_idle();
   return results;

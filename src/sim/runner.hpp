@@ -40,10 +40,6 @@ struct RunRequest {
   /// mean one worker (every shard pumped inline). Any worker count yields
   /// byte-identical stats, on direct and switched pools alike.
   std::uint32_t shards = 0;
-  /// Harness cap on effective shard workers (0 = uncapped). run_many sets
-  /// it from inner_shard_cap() so outer runs x inner shard workers never
-  /// oversubscribe the machine.
-  std::uint32_t shard_cap = 0;
 
   /// Advance every component every cycle instead of skipping idle ones (the
   /// lockstep reference schedule). Stats are byte-identical either way.

@@ -110,83 +110,6 @@ void ServiceDriver::register_metrics() {
   }
 }
 
-void ServiceDriver::step(Cycle now) {
-  // Phase 1: move due arrivals into the per-tenant injection queues.
-  // Arrivals are generated only for cycles inside [0, horizon); the
-  // pre-drawn first request at/past the horizon is discarded uncounted.
-  for (TenantState& t : tenants_) {
-    while (!t.exhausted && t.next.at <= now) {
-      ++t.generated;
-      t.queue.push_back({t.next.at, t.next.line, t.next.is_write});
-      t.next = t.gen->next();
-      if (t.next.at >= horizon_) t.exhausted = true;
-    }
-  }
-
-  // Phase 2: admission, tenants in index order, head-of-line per tenant.
-  // A blocked head charges exactly one stall cycle to whichever resource
-  // denied it (regulation credit vs memory backpressure). Attempt cycles —
-  // every cycle a queue is non-empty before the horizon — are identical in
-  // event-driven and lockstep modes, which keeps the regulator's lazy
-  // credit accrual byte-identical across modes.
-  if (now < horizon_) {
-    for (std::uint32_t i = 0; i < tenants_.size(); ++i) {
-      TenantState& t = tenants_[i];
-      while (!t.queue.empty()) {
-        const Queued& head = t.queue.front();
-        if (regulator_ != nullptr &&
-            !regulator_->has_credit(i, kLineBytes, now)) {
-          ++t.reg_stall_cycles;
-          break;
-        }
-        if (!memory_->can_accept(head.line, head.is_write, now)) {
-          ++t.bp_stall_cycles;
-          break;
-        }
-        if (regulator_ != nullptr) regulator_->consume(i, kLineBytes, now);
-        ++t.admitted;
-        if (head.is_write) {
-          ++t.writes;
-          memory_->access(head.line, /*is_write=*/true, now, /*token=*/0);
-        } else {
-          ++t.reads;
-          std::uint32_t slot;
-          if (!free_slots_.empty()) {
-            slot = free_slots_.back();
-            free_slots_.pop_back();
-          } else {
-            slot = static_cast<std::uint32_t>(inflight_.size());
-            inflight_.emplace_back();
-          }
-          inflight_[slot] = {i, head.at, true};
-          ++inflight_count_;
-          memory_->access(head.line, /*is_write=*/false, now, slot);
-        }
-        t.queue.pop_front();
-      }
-    }
-  }
-
-  // Phase 3: advance the memory system (after admission, so the wake bound
-  // accounts for the accesses just issued).
-  mem_wake_ = memory_->tick(now);
-
-  // Phase 4: drain read completions. Latency is arrival-to-`done` — both
-  // endpoints are mode-invariant, so the histograms never see which cycle
-  // the host happened to drain on.
-  auto& comps = memory_->completions();
-  for (const mem::MemCompletion& c : comps) {
-    Inflight& fl = inflight_[static_cast<std::size_t>(c.token)];
-    TenantState& t = tenants_[fl.tenant];
-    ++t.completed;
-    if (fl.at >= svc_.warmup_cycles) t.lat.add(c.done - fl.at);
-    fl.used = false;
-    free_slots_.push_back(static_cast<std::uint32_t>(c.token));
-    --inflight_count_;
-  }
-  comps.clear();
-}
-
 Cycle ServiceDriver::next_event_after(Cycle now) const {
   Cycle next = kNoCycle;
   for (const TenantState& t : tenants_) {
@@ -201,16 +124,82 @@ Cycle ServiceDriver::next_event_after(Cycle now) const {
 void ServiceDriver::run() {
   memory_->set_force_tick(tick_every_cycle_);
 
+  // One iteration per visited cycle.
   Cycle now = 0;
-  while (now < horizon_ || inflight_count_ > 0) {
-    step(now);
+  while (now < horizon_ || inflight_.live() > 0) {
+    // Phase 1: move due arrivals into the per-tenant injection queues.
+    // Arrivals are generated only for cycles inside [0, horizon); the
+    // pre-drawn first request at/past the horizon is discarded uncounted.
+    for (TenantState& t : tenants_) {
+      while (!t.exhausted && t.next.at <= now) {
+        ++t.generated;
+        t.queue.push_back({t.next.at, t.next.line, t.next.is_write});
+        t.next = t.gen->next();
+        if (t.next.at >= horizon_) t.exhausted = true;
+      }
+    }
+
+    // Phase 2: admission, tenants in index order, head-of-line per tenant.
+    // A blocked head charges exactly one stall cycle to whichever resource
+    // denied it (regulation credit vs memory backpressure). Attempt cycles —
+    // every cycle a queue is non-empty before the horizon — are identical in
+    // event-driven and lockstep modes, which keeps the regulator's lazy
+    // credit accrual byte-identical across modes.
+    if (now < horizon_) {
+      for (std::uint32_t i = 0; i < tenants_.size(); ++i) {
+        TenantState& t = tenants_[i];
+        while (!t.queue.empty()) {
+          const Queued& head = t.queue.front();
+          if (regulator_ != nullptr &&
+              !regulator_->has_credit(i, kLineBytes, now)) {
+            ++t.reg_stall_cycles;
+            break;
+          }
+          if (!memory_->can_accept(head.line, head.is_write, now)) {
+            ++t.bp_stall_cycles;
+            break;
+          }
+          if (regulator_ != nullptr) regulator_->consume(i, kLineBytes, now);
+          ++t.admitted;
+          if (head.is_write) {
+            ++t.writes;
+            memory_->access(head.line, /*is_write=*/true, now, /*token=*/0);
+          } else {
+            ++t.reads;
+            memory_->access(head.line, /*is_write=*/false, now,
+                            inflight_.acquire({i, head.at}));
+          }
+          t.queue.pop_front();
+        }
+      }
+    }
+
+    // Phase 3: advance the memory system (after admission, so the wake bound
+    // accounts for the accesses just issued).
+    mem_wake_ = memory_->tick(now);
+
+    // Phase 4: drain read completions. Latency is arrival-to-`done` — both
+    // endpoints are mode-invariant, so the histograms never see which cycle
+    // the host happened to drain on.
+    auto& comps = memory_->completions();
+    for (const mem::MemCompletion& c : comps) {
+      const std::uint32_t slot = static_cast<std::uint32_t>(c.token);
+      const Inflight& fl = inflight_[slot];
+      TenantState& t = tenants_[fl.tenant];
+      ++t.completed;
+      if (fl.at >= svc_.warmup_cycles) t.lat.add(c.done - fl.at);
+      inflight_.release(slot);
+    }
+    comps.clear();
+
+    // Phase 5: the next cycle with work.
     if (tick_every_cycle_) {
       ++now;
       continue;
     }
     const Cycle next = next_event_after(now);
     if (next == kNoCycle) {
-      if (inflight_count_ > 0) {
+      if (inflight_.live() > 0) {
         throw std::logic_error(
             "ServiceDriver: memory went idle with reads inflight");
       }

@@ -33,6 +33,7 @@
 #include "coaxial/configs.hpp"
 #include "coaxial/memory_system.hpp"
 #include "common/histogram.hpp"
+#include "common/slot_pool.hpp"
 #include "obs/metrics.hpp"
 #include "workload/arrival.hpp"
 
@@ -155,7 +156,6 @@ class ServiceDriver {
     TenantState(Cycle bucket, std::uint32_t buckets) : lat(bucket, buckets) {}
   };
 
-  void step(Cycle now);            ///< One cycle: arrivals, admission, tick, drain.
   Cycle next_event_after(Cycle now) const;
   void evaluate_slos();
   void register_metrics();
@@ -178,11 +178,8 @@ class ServiceDriver {
   struct Inflight {
     std::uint32_t tenant = 0;
     Cycle at = 0;
-    bool used = false;
   };
-  std::vector<Inflight> inflight_;
-  std::vector<std::uint32_t> free_slots_;
-  std::uint64_t inflight_count_ = 0;
+  SlotPool<Inflight> inflight_;
 
   bool tick_every_cycle_ = false;
   Cycle mem_wake_ = 0;

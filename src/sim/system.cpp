@@ -179,7 +179,6 @@ void System::build_shared_structures() {
   stream_victim_.assign(u.cores, 0);
   // Hot-path containers: size once so steady state never reallocates.
   ops_.reserve(1024);
-  free_ops_.reserve(1024);
   pending_mem_.reserve(256);
   pending_wb_.reserve(256);
 
@@ -223,29 +222,13 @@ System::~System() = default;
 
 // ------------------------------------------------------------- op lifetime
 
-std::uint32_t System::alloc_op() {
-  if (!free_ops_.empty()) {
-    const std::uint32_t id = free_ops_.back();
-    free_ops_.pop_back();
-    ops_[id] = MemOp{};
-    return id;
-  }
-  ops_.emplace_back();
-  return static_cast<std::uint32_t>(ops_.size() - 1);
-}
-
-void System::free_op(std::uint32_t id) {
-  ops_[id].free = true;
-  free_ops_.push_back(id);
-}
-
 void System::maybe_free_joined_op(std::uint32_t id) {
   MemOp& op = ops_[id];
   if (!op.finished) return;
   // A CALM op lives until both legs have landed so the late leg can be
   // recognised and discarded; serial ops have a single (memory) leg.
   if (op.calm && !(op.llc_resolved && op.mem_arrived)) return;
-  free_op(id);
+  ops_.release(id);
 }
 
 // ---------------------------------------------------------- wake-up spine
@@ -473,7 +456,7 @@ void System::maybe_prefetch(Cycle t, std::uint32_t c, Addr line) {
 
 void System::issue_l2_miss_op(Cycle t, std::uint32_t c, Addr line, Addr pc,
                               bool prefetch) {
-  const std::uint32_t op_id = alloc_op();
+  const std::uint32_t op_id = ops_.acquire();
   MemOp& op = ops_[op_id];
   op.line = line;
   op.pc = pc;

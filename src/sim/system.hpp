@@ -17,6 +17,7 @@
 #include "coaxial/configs.hpp"
 #include "coaxial/memory_system.hpp"
 #include "common/rng.hpp"
+#include "common/slot_pool.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "core/core.hpp"
@@ -182,7 +183,6 @@ class System : public core::MemoryPort {
     bool llc_resolved = false;
     bool mem_arrived = false;
     bool finished = false;
-    bool free = false;
     Cycle t_start = 0;         ///< L2-miss time.
     Cycle t_mem_attempt = 0;   ///< First admission attempt.
     Cycle t_mem_issued = 0;
@@ -256,8 +256,6 @@ class System : public core::MemoryPort {
   void llc_victim(std::uint32_t slice, const cache::Eviction& ev, Cycle t);
   void park_pending_mem(std::uint32_t op_id, PendingStage stage, Cycle t);
   void pump_memory(Cycle now);
-  std::uint32_t alloc_op();
-  void free_op(std::uint32_t id);
   void maybe_free_joined_op(std::uint32_t id);
   void reset_window_stats();
   void collect_window_stats();
@@ -291,8 +289,7 @@ class System : public core::MemoryPort {
   /// Payload events in (cycle, insertion sequence) order (DESIGN.md §2),
   /// sized in build_shared_structures() once the memory system exists.
   EventQueue events_{0};
-  std::vector<MemOp> ops_;
-  std::vector<std::uint32_t> free_ops_;
+  SlotPool<MemOp> ops_;
   std::vector<PendingMem> pending_mem_;  ///< Ops awaiting memory admission.
   std::vector<Addr> pending_wb_;         ///< LLC dirty victims awaiting issue.
 

@@ -78,7 +78,7 @@ TEST(DirectDdrMemory, SnapshotCountsReads) {
 }
 
 TEST(CxlMemory, ReadIncludesInterfaceOverhead) {
-  CxlMemory m(1, 1, link::LaneConfig::x8());
+  CxlMemory m(fabric::FabricConfig::direct(), 1, 1, link::LaneConfig::x8());
   m.access(0, false, 10, 1);
   const Cycle done = run_until_read(m, 1, 10, 4000);
   ASSERT_NE(done, kNoCycle);
@@ -90,8 +90,8 @@ TEST(CxlMemory, ReadIncludesInterfaceOverhead) {
 }
 
 TEST(CxlMemory, SeventyNsPremiumRaisesLatency) {
-  CxlMemory fast(1, 1, link::LaneConfig::x8(12.5));
-  CxlMemory slow(1, 1, link::LaneConfig::x8(17.5));
+  CxlMemory fast(fabric::FabricConfig::direct(), 1, 1, link::LaneConfig::x8(12.5));
+  CxlMemory slow(fabric::FabricConfig::direct(), 1, 1, link::LaneConfig::x8(17.5));
   fast.access(0, false, 10, 1);
   slow.access(0, false, 10, 1);
   const Cycle f = run_until_read(fast, 1, 10, 4000);
@@ -103,14 +103,14 @@ TEST(CxlMemory, SeventyNsPremiumRaisesLatency) {
 }
 
 TEST(CxlMemory, AsymTopologyHasTwoDdrPerDevice) {
-  CxlMemory m(4, 2, link::LaneConfig::x8_asym());
+  CxlMemory m(fabric::FabricConfig::direct(), 4, 2, link::LaneConfig::x8_asym());
   EXPECT_EQ(m.subchannels(), 16u);
   EXPECT_EQ(m.ports(), 4u);
   EXPECT_DOUBLE_EQ(m.peak_gbps(), 8 * 38.4);
 }
 
 TEST(CxlMemory, PortOfGroupsSubchannelsByDevice) {
-  CxlMemory m(4, 1, link::LaneConfig::x8());
+  CxlMemory m(fabric::FabricConfig::direct(), 4, 1, link::LaneConfig::x8());
   std::set<std::uint32_t> ports;
   for (Addr line = 0; line < 8; ++line) {
     const std::uint32_t p = m.port_of(line);
@@ -121,7 +121,7 @@ TEST(CxlMemory, PortOfGroupsSubchannelsByDevice) {
 }
 
 TEST(CxlMemory, AllRandomReadsComplete) {
-  CxlMemory m(2, 1, link::LaneConfig::x8());
+  CxlMemory m(fabric::FabricConfig::direct(), 2, 1, link::LaneConfig::x8());
   Rng rng(3);
   std::set<std::uint64_t> outstanding;
   std::uint64_t next_token = 1;
@@ -151,7 +151,7 @@ TEST(CxlMemory, AllRandomReadsComplete) {
 }
 
 TEST(CxlMemory, WritesConsumeTxAndComplete) {
-  CxlMemory m(1, 1, link::LaneConfig::x8());
+  CxlMemory m(fabric::FabricConfig::direct(), 1, 1, link::LaneConfig::x8());
   for (Addr line = 0; line < 30; ++line) m.access(line, true, 10, 0);
   for (Cycle now = 10; now < 50000; ++now) {
     m.tick(now);
@@ -173,16 +173,16 @@ TEST(CxlMemory, BackpressureUnderTxFlood) {
     }
     return accepted;
   };
-  CxlMemory reads(1, 1, link::LaneConfig::x8());
+  CxlMemory reads(fabric::FabricConfig::direct(), 1, 1, link::LaneConfig::x8());
   EXPECT_EQ(flood(reads, false), 128u);  // Two sub-channels' 64-entry ingresses.
-  CxlMemory writes(1, 1, link::LaneConfig::x8());
+  CxlMemory writes(fabric::FabricConfig::direct(), 1, 1, link::LaneConfig::x8());
   EXPECT_EQ(flood(writes, true), 43u);  // The link's backlog cap engages first.
   CxlMemory star(fabric::FabricConfig::star(1, 1), 1, 1, link::LaneConfig::x8());
   EXPECT_EQ(flood(star, false), 64u);
 }
 
 TEST(CxlMemory, SnapshotUtilizationBounded) {
-  CxlMemory m(1, 1, link::LaneConfig::x8());
+  CxlMemory m(fabric::FabricConfig::direct(), 1, 1, link::LaneConfig::x8());
   Rng rng(4);
   Cycle now = 1;
   for (; now < 100000; ++now) {
@@ -196,7 +196,7 @@ TEST(CxlMemory, SnapshotUtilizationBounded) {
 }
 
 TEST(CxlMemory, BreakdownSumsAreConsistent) {
-  CxlMemory m(1, 1, link::LaneConfig::x8());
+  CxlMemory m(fabric::FabricConfig::direct(), 1, 1, link::LaneConfig::x8());
   Rng rng(5);
   std::map<std::uint64_t, Cycle> issue_time;
   double total_latency = 0;
@@ -237,7 +237,7 @@ struct ParkedRun {
 };
 
 ParkedRun run_parked_stream(bool force_tick) {
-  CxlMemory m(1, 1, link::LaneConfig::x4());
+  CxlMemory m(fabric::FabricConfig::direct(), 1, 1, link::LaneConfig::x4());
   m.set_force_tick(force_tick);
   Rng rng(23);
   ParkedRun run;

@@ -12,7 +12,6 @@
 
 #include "coaxial/configs.hpp"
 #include "obs/stats_json.hpp"
-#include "placement/address_map.hpp"
 #include "pool/directory.hpp"
 #include "pool/pool_config.hpp"
 #include "sim/pooled_system.hpp"
@@ -427,27 +426,6 @@ TEST(PooledRunner, DispatchesPooledRequests) {
     saw_pool = saw_pool || path.rfind("pool/", 0) == 0;
   }
   EXPECT_TRUE(saw_pool);
-}
-
-// Satellite of the pooling work: the stage-2 decode now carries the fabric
-// device count as a debug bound, so a topology/interleave mismatch throws
-// at translate time instead of silently indexing past per-device state.
-// This TU compiles with COAXIAL_DEVICE_BOUND_CHECK, so the (header-inline)
-// guard is active regardless of the library build type.
-TEST(AddressMapDeviceBound, MismatchedFabricCountThrowsAtTranslate) {
-  placement::AddressMap m = placement::AddressMap::passthrough(
-      fabric::Interleave::kLine, /*devices=*/8, /*subs_per_device=*/2,
-      /*page_lines=*/64, /*contiguous_lines=*/1ull << 24);
-  // The fabric only wired 4 devices: lines decoding to devices 0..3 pass,
-  // anything past the bound is a programming error, not a hardware state.
-  // kLine with 2 subs/device: line -> sub (line % 16) -> device (sub / 2).
-  m.set_device_bound(4);
-  EXPECT_NO_THROW(m.route(7));  // Sub 7 -> device 3, inside the bound.
-  EXPECT_THROW(m.route(8), std::logic_error);   // Sub 8 -> device 4.
-  EXPECT_THROW(m.device_of(15), std::logic_error);  // Sub 15 -> device 7.
-  // Matching counts never trip.
-  m.set_device_bound(8);
-  for (Addr line = 0; line < 64; ++line) EXPECT_NO_THROW(m.route(line));
 }
 
 TEST(PoolConfig, ValidateRejectsBadShapes) {

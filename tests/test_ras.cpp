@@ -197,8 +197,8 @@ TEST(CxlMemoryRas, ExhaustedRetriesPoisonEveryCompletionExactlyOnce) {
   plan.bit_error_rate = 1.0;
   plan.retry_budget = 1;
   plan.retry_latency_ns = 10.0;
-  mem::CxlMemory m(/*cxl_channels=*/1, /*ddr_per_device=*/1,
-                   link::LaneConfig::x8(), {}, {}, {}, plan);
+  mem::CxlMemory m(fabric::FabricConfig::direct(), /*cxl_channels=*/1,
+                   /*ddr_per_device=*/1, link::LaneConfig::x8(), {}, {}, {}, plan);
 
   constexpr int kReads = 20;
   std::map<std::uint64_t, int> seen;
@@ -239,8 +239,8 @@ TEST(CxlMemoryRas, WatchdogNeverDuplicatesOrDropsRequests) {
   plan.timeout_cycles = 800;
   plan.max_reissues = 4;
   plan.backoff_cap_cycles = 8'000;
-  mem::CxlMemory m(/*cxl_channels=*/1, /*ddr_per_device=*/1,
-                   link::LaneConfig::x8(), {}, {}, {}, plan);
+  mem::CxlMemory m(fabric::FabricConfig::direct(), /*cxl_channels=*/1,
+                   /*ddr_per_device=*/1, link::LaneConfig::x8(), {}, {}, {}, plan);
 
   constexpr int kReads = 40;
   std::map<std::uint64_t, int> seen;

@@ -1,8 +1,8 @@
 // Sharded quantum engine (DESIGN.md §14): conservative-lookahead derivation
 // and validation, worker-count independence of the stats document, shard
-// placement, the worker team's barrier (near-empty rounds, the park path,
-// exceptions, oversubscription), and the outer-pool x inner-shard cap — on
-// direct and switched (star and tree) pools alike.
+// placement and the worker team's barrier (near-empty rounds, the park
+// path, exceptions, oversubscription) — on direct and switched (star and
+// tree) pools alike.
 //
 // The load-bearing property is byte-identity: the parallel pump must be a
 // pure scheduling change. Every test here compares full canonical JSON
@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "coaxial/configs.hpp"
-#include "common/thread_pool.hpp"
 #include "link/lane_config.hpp"
 #include "obs/stats_json.hpp"
 #include "sim/pooled_system.hpp"
@@ -349,45 +348,6 @@ TEST(ShardBarrier, OversubscribedTeamParksAndFinishes) {
   team.shutdown();
   for (const std::uint64_t n : runs) EXPECT_EQ(n, 2'000u);
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
-}
-
-// ------------------------------------------------- outer x inner worker cap
-
-TEST(ShardCap, InnerShardCapNeverOversubscribes) {
-  // outer pool threads x inner shard workers <= hardware threads.
-  EXPECT_EQ(inner_shard_cap(/*outer=*/1, /*hardware=*/8), 8u);
-  EXPECT_EQ(inner_shard_cap(2, 8), 4u);
-  EXPECT_EQ(inner_shard_cap(3, 8), 2u);
-  EXPECT_EQ(inner_shard_cap(8, 8), 1u);
-  EXPECT_EQ(inner_shard_cap(16, 8), 1u);  // Oversubscribed outer: no inner.
-  EXPECT_EQ(inner_shard_cap(0, 8), 8u);   // 0 outer means one pool thread.
-  EXPECT_EQ(inner_shard_cap(4, 1), 1u);   // Single-CPU box: always inline.
-}
-
-TEST(ShardCap, RunManyCapsWorkersWithoutChangingStats) {
-  // A batch on a 2-thread pool halves each run's shard budget; the stats
-  // must not notice (caps are pure scheduling).
-  const std::vector<sim::RunRequest> reqs = {
-      pooled_request(small_pool(2), /*shards=*/8),
-      pooled_request(small_pool(4), /*shards=*/8),
-  };
-  const std::vector<sim::RunResult> batch = sim::run_many(reqs, /*threads=*/2);
-  ASSERT_EQ(batch.size(), 2u);
-  const std::uint32_t hw = std::thread::hardware_concurrency();
-  for (const sim::RunResult& r : batch) {
-    EXPECT_LE(r.shards * 2u, std::max(hw, 2u));
-  }
-  EXPECT_EQ(stats_json(batch[0]),
-            stats_json(sim::run_one(pooled_request(small_pool(2), 1))));
-  EXPECT_EQ(stats_json(batch[1]),
-            stats_json(sim::run_one(pooled_request(small_pool(4), 1))));
-}
-
-TEST(ShardCap, ExplicitRequestCapBoundsEnvAndRequest) {
-  sim::RunRequest req = pooled_request(small_pool(2), /*shards=*/8);
-  req.shard_cap = 2;
-  const sim::RunResult res = sim::run_one(req);
-  EXPECT_EQ(res.shards, 2u);
 }
 
 }  // namespace

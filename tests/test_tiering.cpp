@@ -88,53 +88,10 @@ TEST(TierConfig, RejectsCapacitySmallerThanPinnedFootprint) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
-// ------------------------------------------- stage-2 pass-through fidelity
-
-void expect_passthrough_matches_router(fabric::Interleave mode) {
-  const std::uint32_t devices = 8, spd = 2;
-  const std::uint32_t page_lines = 64;
-  const std::uint64_t contiguous = 1ull << 24;
-  const fabric::Router router(mode, devices, spd, page_lines, contiguous);
-  const AddressMap amap =
-      AddressMap::passthrough(mode, devices, spd, page_lines, contiguous);
-  EXPECT_FALSE(amap.tiered_mode());
-  EXPECT_EQ(amap.devices(), devices);
-  EXPECT_EQ(amap.interleave(), mode);
-  // Dense low lines, page/extent boundaries, and large sparse lines.
-  std::vector<Addr> samples;
-  for (Addr l = 0; l < 4096; ++l) samples.push_back(l);
-  for (Addr l = 0; l < 64; ++l) {
-    samples.push_back(l * page_lines + l % 3);
-    samples.push_back(l * contiguous + l);
-    samples.push_back((l + 1) * 0x9e3779b97f4a7c15ull % (1ull << 40));
-  }
-  for (const Addr line : samples) {
-    const fabric::Router::Route want = router.route(line);
-    const fabric::Router::Route got = amap.route(line);
-    EXPECT_EQ(got.device, want.device) << "line " << line;
-    EXPECT_EQ(got.sub, want.sub) << "line " << line;
-    EXPECT_EQ(got.local, want.local) << "line " << line;
-    EXPECT_EQ(amap.device_of(line), want.device) << "line " << line;
-  }
-}
-
-TEST(AddressMapPassthrough, LineInterleaveMatchesRouter) {
-  expect_passthrough_matches_router(fabric::Interleave::kLine);
-}
-
-TEST(AddressMapPassthrough, PageInterleaveMatchesRouter) {
-  expect_passthrough_matches_router(fabric::Interleave::kPage);
-}
-
-TEST(AddressMapPassthrough, ContiguousInterleaveMatchesRouter) {
-  expect_passthrough_matches_router(fabric::Interleave::kContiguous);
-}
-
 // ------------------------------------------------- tiered translate logic
 
 TEST(AddressMapTiered, IdentityToCapacityWithoutRangesOrRemaps) {
   const AddressMap amap = AddressMap::tiered(small_tiered());
-  EXPECT_TRUE(amap.tiered_mode());
   for (const Addr line : {Addr{0}, Addr{63}, Addr{64}, Addr{123456789}}) {
     const Translation t = amap.translate(line);
     EXPECT_EQ(t.tier, 1u);
