@@ -98,7 +98,8 @@ cmake --build "${SAN_DIR}" -j "${JOBS}"
 # are where out-of-bounds and truncation bugs would hide. The perf label
 # adds the index-linked structures of the single-host payload path: the
 # event wheel's node pool and bucket lists (test_event_queue), the flat
-# MSHR table (test_mshr) and event == lockstep System runs (test_scheduler).
+# MSHR table (test_mshr), the SlotPool every in-flight table is built on
+# (test_slot_pool) and event == lockstep System runs (test_scheduler).
 # The core label adds the instruction generators, which write each batch in
 # place into the core's fixed fetch buffer (test_workload), and the core
 # model that owns it (test_core).

@@ -12,8 +12,8 @@
 //   kContiguous  large contiguous extents per device (capacity-mode NUMA
 //                placement), round-robin at extent granularity.
 //
-// The Router is the stage-2 backend of the two-stage translation layer
-// (placement::AddressMap, DESIGN.md §10): stage 1 picks a tier, the tier's
+// The Router is stage 2 of the two-stage translation (DESIGN.md §10):
+// stage 1 (placement::AddressMap) picks a tier, and each memory system's
 // Router spreads the tier-local address space across its devices.
 #pragma once
 
